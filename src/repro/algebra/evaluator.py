@@ -87,7 +87,13 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.algebra.keys import derive_key
-from repro.algebra.predicates import _FLOAT_EXACT, _INT64_SAFE, _int_bound
+from repro.algebra.predicates import (
+    _FLOAT_EXACT,
+    _INT64_SAFE,
+    Col,
+    Tup,
+    _int_bound,
+)
 from repro.algebra.relation import Relation
 from repro.algebra.schema import Schema
 from repro.caches import register_cache
@@ -748,9 +754,17 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
         ngroups = len(group_keys)
         counts = np.bincount(gid, minlength=ngroups)
         order = starts = split = None
+        winners: dict = {}
         agg_cols = []
         for a in expr.aggs:
             fn = get_aggregate(a.func)
+            if fn.name == "pick":
+                if order is None:
+                    order, starts = grouped_starts(gid, counts)
+                picked = _try_pick_columnar(a.term, cols, order, starts, winners)
+                if picked is not None:
+                    agg_cols.append(picked)
+                    continue
             values = None
             if fn.grouped is not None and a.term is not None:
                 values = _vector_values(a.term, cols, fn.name)
@@ -783,6 +797,58 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
         for g, gkey in enumerate(group_keys)
     ]
     return Relation(out_schema, out_rows)
+
+
+def _try_pick_columnar(term, cols, order, starts, winners: dict):
+    """One ``pick`` spec as a gather at each group's winning row, or None.
+
+    A change table for an SPJ view carries one ``pick`` over
+    ``tup(priority, column)`` per value column, all with the same
+    priority term: the winning row per group is found once (``winners``,
+    keyed by the priority term, lives for one γ) and every spec is one
+    gather of its payload column.  Anything else — a payload that is not
+    a plain column, a priority that is not integer-valued — keeps the
+    per-group ``compute`` fallback.
+    """
+    if not (
+        isinstance(term, Tup)
+        and len(term.terms) == 2
+        and isinstance(term.terms[1], Col)
+    ):
+        return None
+    priority, payload = term.terms
+    memo_key = repr(priority)
+    if memo_key not in winners:
+        winners[memo_key] = _pick_winners(priority, cols, order, starts)
+    won = winners[memo_key]
+    if won is None:
+        return None
+    rows, deleted = won
+    out = cols.array(payload.name)[rows].tolist()
+    for g in deleted:
+        out[g] = None
+    return out
+
+
+def _pick_winners(priority, cols, order, starts):
+    """``(winning row per group, groups with no winner)`` — :func:`_pick`.
+
+    The winner is the first row, in row order, holding the group's
+    highest priority; a group whose priorities are all negative (pure
+    deletions) has none.  None when the priority has no integer vector.
+    """
+    prio = _vector_values(priority, cols, "pick")
+    if prio is None or prio.dtype.kind not in "iu":
+        return None
+    n = len(order)
+    sorted_prio = prio[order]
+    best = np.maximum.reduceat(sorted_prio, starts)
+    sizes = np.diff(np.append(starts, n))
+    position = np.where(
+        sorted_prio == np.repeat(best, sizes), np.arange(n), n
+    )
+    rows = order[np.minimum.reduceat(position, starts)]
+    return rows, np.flatnonzero(best < 0).tolist()
 
 
 def _vector_values(term, cols, func_name):

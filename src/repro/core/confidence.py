@@ -21,11 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache
+from statistics import NormalDist
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
+from repro.algebra.columnar import factorize_key_codes
+from repro.algebra.evaluator import columnar_enabled
+from repro.algebra.predicates import _FLOAT_EXACT, _INT64_SAFE, _int_bound
 from repro.algebra.relation import Relation
 from repro.errors import EstimationError
 
@@ -69,11 +73,68 @@ class Estimate:
         )
 
 
+@lru_cache(maxsize=64)
 def gaussian_z(confidence: float) -> float:
     """Two-sided Gaussian tail value (1.96 for 95%, 2.57 for 99%)."""
     if not 0.0 < confidence < 1.0:
         raise EstimationError(f"confidence must be in (0,1): {confidence}")
-    return float(_scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
+# ----------------------------------------------------------------------
+# The batch kernel.  Everything the estimators compute per query is a
+# reduction of (predicate mask, attribute column) over a relation's
+# cached columnar form; the row loops below stay, verbatim, as the
+# per-call fallback and as the oracle the equivalence suite compares
+# against.  docs/estimation.md has the data path and the fallback list.
+# ----------------------------------------------------------------------
+def _try_columns(rel: Relation, query):
+    """``(mask, values)`` of ``query`` over ``rel.columnar()``, or None.
+
+    ``mask`` is the predicate's selection mask and ``values`` the
+    aggregated column (None for an attribute-less count).  None sends
+    the caller to its row loop: the columnar engine is switched off,
+    the predicate has no vector form or raised (the row loop then
+    raises the reference error — or none, where ``and``/``or`` would
+    have short-circuited past it), or the column is not one numpy
+    reduces the way Python does — object dtype (``None``, bool-int
+    mixes, big ints), strings, integers at or beyond 2**53 or whose sum
+    could leave int64.
+    """
+    if not columnar_enabled():
+        return None
+    try:
+        mask = query.predicate.mask(rel)
+        if query.attr is None:
+            return mask, None
+        values = rel.columnar().array(query.attr)
+    except Exception:
+        return None
+    kind = values.dtype.kind
+    if kind in "iu":
+        bound = _int_bound(values)
+        if bound >= _FLOAT_EXACT or bound * len(values) >= _INT64_SAFE:
+            return None
+    elif kind not in "bf":
+        return None
+    return mask, values
+
+
+def _trans_columns(mask, values, func: str, ratio: float) -> np.ndarray:
+    """:func:`trans_values` of one kernel result (sum/count/avg)."""
+    if func == "count":
+        return np.where(mask, 1.0 / ratio, 0.0)
+    if func == "sum":
+        return np.where(mask, values / ratio, 0.0)
+    return values[mask].astype(float)
+
+
+def _keyed_columns(mask, values, func: str, ratio: float) -> np.ndarray:
+    """:func:`keyed_trans` values of one kernel result, in row order."""
+    if func == "count":
+        return np.where(mask, 1.0 / ratio, 0.0)
+    scale = 1.0 / ratio if func == "sum" else 1.0
+    return np.where(mask, values * scale, 0.0)
 
 
 def trans_values(
@@ -85,6 +146,10 @@ def trans_values(
     * count: (1/m) · cond         over every sample row;
     * avg:   attr                 over rows satisfying cond.
     """
+    if query.func in ("sum", "count", "avg") and ratio:
+        cols = _try_columns(rel, query)
+        if cols is not None:
+            return _trans_columns(*cols, query.func, ratio)
     pred = query.predicate.bind(rel.schema)
     if query.func == "count":
         return np.array(
@@ -111,7 +176,7 @@ def trans_values(
 def keyed_trans(
     rel: Relation, query, ratio: float, key
 ) -> dict:
-    """Map view-key -> trans value (for the correspondence subtract)."""
+    """Map view-key -> trans value (the row form of the diff table)."""
     pred = query.predicate.bind(rel.schema)
     key_idx = rel.schema.indexes(key)
     out = {}
@@ -132,10 +197,76 @@ def keyed_trans(
     return out
 
 
+#: ``Relation.sample_cache()`` entry of a clean sample: ``(dirty sample,
+#: key, alignment)``.  The alignment lives on the pair it describes and
+#: is matched by identity, so a new clean sample (refresh, advance, a
+#: published epoch) starts without one and nothing ever invalidates it.
+_ALIGNMENT = "__svc_alignment__"
+
+
+def _try_alignment(clean: Relation, dirty: Relation, key: Sequence[str]):
+    """``(n_keys, clean_pos, dirty_pos)`` for a sample pair, or None.
+
+    Row ``i`` of ``clean`` owns slot ``clean_pos[i]`` of the pair's
+    ``n_keys``-slot key union, likewise ``dirty``; equal slots mean
+    equal keys.  Computed once per (clean, dirty) pair and held on the
+    clean sample.  None — also remembered — when the key columns do not
+    factorize (see :func:`factorize_key_codes`) or a key repeats inside
+    one sample, where the row path's dicts define the answer.
+    """
+    key = tuple(key)
+    memo = clean.sample_cache()
+    hit = memo.get(_ALIGNMENT)
+    if hit is not None and hit[0] is dirty and hit[1] == key:
+        return hit[2]
+    alignment = None
+    if key and all(k in clean.schema and k in dirty.schema for k in key):
+        codes = factorize_key_codes(
+            clean.columnar(), dirty.columnar(), key, key
+        )
+        if codes is not None:
+            clean_pos, dirty_pos, n_keys = codes
+            if len(np.unique(clean_pos)) == len(clean_pos) and len(
+                np.unique(dirty_pos)
+            ) == len(dirty_pos):
+                alignment = (n_keys, clean_pos, dirty_pos)
+    memo[_ALIGNMENT] = (dirty, key, alignment)
+    return alignment
+
+
+def _try_diff_columns(
+    clean: Relation, dirty: Relation, query, ratio: float, key
+):
+    """The diff table as two scatters over the pair's alignment, or None."""
+    clean_cols = _try_columns(clean, query)
+    if clean_cols is None:
+        return None
+    dirty_cols = _try_columns(dirty, query)
+    if dirty_cols is None:
+        return None
+    alignment = _try_alignment(clean, dirty, key)
+    if alignment is None:
+        return None
+    n_keys, clean_pos, dirty_pos = alignment
+    diffs = np.zeros(n_keys)
+    diffs[clean_pos] = _keyed_columns(*clean_cols, query.func, ratio)
+    diffs[dirty_pos] -= _keyed_columns(*dirty_cols, query.func, ratio)
+    return diffs
+
+
 def correspondence_subtract(
     clean: Relation, dirty: Relation, query, ratio: float, key
 ) -> np.ndarray:
-    """The diff table trans(Ŝ') −̇ trans(Ŝ) of Def 4 (NULL → 0)."""
+    """The diff table trans(Ŝ') −̇ trans(Ŝ) of Def 4 (NULL → 0).
+
+    One value per key of either sample; their order is unspecified
+    (key-code order on the batch path, set order on the row path) and
+    no caller depends on it.
+    """
+    if ratio:
+        fast = _try_diff_columns(clean, dirty, query, ratio, key)
+        if fast is not None:
+            return fast
     clean_t = keyed_trans(clean, query, ratio, key)
     dirty_t = keyed_trans(dirty, query, ratio, key)
     keys = set(clean_t) | set(dirty_t)

@@ -20,11 +20,19 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from repro.algebra.evaluator import evaluate
+import numpy as np
+
+from repro.algebra.evaluator import columnar_enabled, evaluate
 from repro.algebra.expressions import Aggregate, distinct
 from repro.algebra.relation import Relation
 from repro.core.cleaning import SampleView
-from repro.core.confidence import Estimate, mean_se, trans_values
+from repro.core.confidence import (
+    Estimate,
+    correspondence_subtract,
+    diff_se,
+    mean_se,
+    trans_values,
+)
 from repro.core.estimators import AggQuery, svc_aqp
 from repro.core.pushdown import (
     PushdownReport,
@@ -212,6 +220,43 @@ def outlier_view_keys(view, index: OutlierIndex) -> Set[tuple]:
 # ----------------------------------------------------------------------
 # Outlier-augmented sample view
 # ----------------------------------------------------------------------
+
+#: ``Relation.sample_cache()`` entry: ``(outlier key set, view key,
+#: (regular, outlier))``.  Matched by the identity of the key set —
+#: every ``clean()`` builds a new one — so a split never outlives the
+#: pair it was computed for and nothing invalidates it.
+_SPLIT = "__svc_outlier_split__"
+
+
+def _try_split_columns(rel: Relation, key, outlier_keys):
+    """(regular, outlier) parts of ``rel`` as index slices, or None.
+
+    One pass over the key columns per (relation, outlier key set) pair,
+    held on the relation: every query of a battery gets the same two
+    sub-relations — lazy gathers over the parent's cached arrays — and
+    with them their own column caches and sample alignment.
+    """
+    if not columnar_enabled():
+        return None
+    key = tuple(key)
+    memo = rel.sample_cache()
+    hit = memo.get(_SPLIT)
+    if hit is not None and hit[0] is outlier_keys and hit[1] == key:
+        return hit[2]
+    rel.schema.indexes(key)
+    cols = rel.columnar()
+    is_outlier = np.fromiter(
+        (k in outlier_keys for k in zip(*(cols.pycolumn(c) for c in key))),
+        dtype=bool, count=len(rel),
+    )
+    parts = tuple(
+        Relation.from_columnar(cols.take(np.flatnonzero(m)), key=rel.key)
+        for m in (~is_outlier, is_outlier)
+    )
+    memo[_SPLIT] = (outlier_keys, key, parts)
+    return parts
+
+
 class OutlierAugmentedSample:
     """A :class:`SampleView` extended with a deterministic outlier set O.
 
@@ -256,6 +301,9 @@ class OutlierAugmentedSample:
     # ------------------------------------------------------------------
     def _split(self, rel: Relation) -> Tuple[Relation, Relation]:
         """(regular, outlier) partition of a keyed relation by O-keys."""
+        fast = _try_split_columns(rel, self.view.key, self.outlier_keys)
+        if fast is not None:
+            return fast
         idx = rel.schema.indexes(self.view.key)
         reg, out = [], []
         for row in rel.rows:
@@ -311,8 +359,6 @@ class OutlierAugmentedSample:
             c_reg_dirty = svc_aqp(reg_dirty, query, self.ratio, confidence)
             c_reg = c_reg_clean.value - c_reg_dirty.value
             c_out = query.evaluate(self.outlier_rows) - query.evaluate(stale_out)
-            from repro.core.confidence import correspondence_subtract, diff_se
-
             diffs = correspondence_subtract(
                 reg_clean, reg_dirty, query, self.ratio, self.view.key
             )
@@ -347,7 +393,6 @@ class OutlierAugmentedSample:
             reg_dirty, _ = self._split(self.sample.dirty_sample)
             stale = self.view.require_data()
             _, stale_out = self._split(stale)
-            reg_stale, _ = self._split(stale)
             if stale_value is None:
                 stale_value = query.evaluate(stale)
             clean_avg = float(reg_vals.mean()) if len(reg_vals) else 0.0

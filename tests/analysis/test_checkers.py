@@ -333,6 +333,44 @@ class TestRep005Fallback:
         )
         assert project.rules() == ["REP005"]
 
+    def test_fires_on_unguarded_estimator_kernel(self, project):
+        # The repro/core batch helpers follow the same naming, so the
+        # rule covers them: using (mask, values) unchecked is a finding.
+        project.write(
+            "src/repro/core/estimators.py",
+            """
+            def evaluate(query, rel):
+                mask, values = _try_columns(rel, query)
+                return values[mask].sum()
+
+
+            def subtract(clean, dirty, query, ratio, key):
+                return _try_diff_columns(clean, dirty, query, ratio, key)
+            """,
+        )
+        assert project.rules() == ["REP005", "REP005"]
+
+    def test_quiet_on_guarded_estimator_kernel(self, project):
+        project.write(
+            "src/repro/core/estimators.py",
+            """
+            def evaluate(query, rel):
+                cols = _try_columns(rel, query)
+                if cols is not None:
+                    mask, values = cols
+                    return values[mask].sum()
+                return row_loop(query, rel)
+
+
+            def _try_diff_columns(clean, dirty, query):
+                alignment = _try_alignment(clean, dirty)
+                if alignment is None:
+                    return None
+                return scatter(alignment)
+            """,
+        )
+        assert project.rules() == []
+
 
 # ---------------------------------------------------------------------------
 # REP006 — worker-reachable mutation of module-level mutable state
