@@ -3,6 +3,10 @@
 (a) SVC maintenance time vs sampling ratio (IVM as the bold line);
 (b) SVC-10% speedup vs update size (super-linear in the paper because
     both join inputs grow).
+
+Both assert on ``svc_seconds`` — the *cold* ``refresh()`` of a period
+that follows a real ``apply_deltas()`` — not on the pre-warmed
+re-evaluation, which is reported beside it as ``svc_warm_seconds``.
 """
 
 from conftest import run_once
@@ -17,11 +21,14 @@ def test_fig4a_maintenance_vs_sampling_ratio(benchmark, record_result):
     result = run_once(benchmark, fig4a_maintenance_vs_ratio, scale=0.5)
     record_result(result)
     times = result.column("svc_seconds")
+    warm = result.column("svc_warm_seconds")
     ivm = result.rows[0]["ivm_seconds"]
     # Paper shape: cleaning a 10% sample is several times cheaper than
-    # full IVM, and the cost grows with the sampling ratio.
+    # full IVM, and the cost grows with the sampling ratio — cold, as an
+    # application calls it, not only once everything is warm.
     assert times[0] < ivm / 2
     assert times[0] < times[-1]
+    assert warm[0] < warm[-1]
 
 
 def test_fig4b_speedup_vs_update_size(benchmark, record_result):

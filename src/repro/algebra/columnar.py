@@ -35,6 +35,11 @@ execution backend:
   multi-column keys.  The vectorized hash join builds/probes on these
   codes and the columnar change-table merge matches stale-view rows to
   change rows with them — both share the same fallback triggers.
+* :func:`patch_column` / :meth:`ColumnarRelation.patched` — how a base
+  relation's built columns survive a maintenance period: the successor
+  batch is patched from its predecessor's arrays (surviving positions +
+  the inserted rows' values → fresh arrays), and a column is dropped,
+  never coerced, whenever the patch could change its dtype.
 * :func:`scatter_column` / :func:`concat_columns` /
   :func:`object_array` — value-faithful column surgery: overwrite rows
   of a column at index positions, stitch two column fragments together,
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -84,6 +90,8 @@ __all__ = [
     "grouped_starts",
     "object_array",
     "pack_column_buffers",
+    "patch_column",
+    "rows_at",
     "scatter_column",
     "write_column_buffers",
 ]
@@ -106,6 +114,19 @@ _FAITHFUL_TYPES = {
     "U": {str},
     "S": {bytes},
 }
+
+
+#: A gather of at most one row in this many, out of a row-backed batch,
+#: converts columns from the gathered rows rather than from the whole
+#: batch (:meth:`ColumnarRelation.take`).
+SELECTIVE_TAKE = 4
+
+
+def rows_at(rows: list, positions: np.ndarray) -> list:
+    """``rows`` at ``positions``, in that order (one C-speed gather)."""
+    if len(positions) < 2:
+        return [rows[p] for p in positions]
+    return list(itemgetter(*positions.tolist())(rows))
 
 
 def column_to_array(values: Sequence) -> np.ndarray:
@@ -155,6 +176,45 @@ def as_object_array(arr: np.ndarray) -> np.ndarray:
     if len(arr):
         out[:] = arr.tolist() if arr.dtype != object else arr
     return out
+
+
+def patch_column(base: np.ndarray, keep, tail) -> Optional[np.ndarray]:
+    """``column_to_array(survivors + inserted)`` from a built column.
+
+    ``base`` is a column :func:`column_to_array` built, ``keep`` the
+    surviving row positions (``None``: every row survives) and ``tail``
+    the inserted values' own :func:`column_to_array` (``None``: nothing
+    inserted).  The result equals converting the patched column from
+    scratch — dtype and values — or is ``None`` where that cannot be
+    known without rescanning it, and the column then rebuilds lazily:
+
+    * a typed column stays typed only while every inserted value has
+      its type (``tail.dtype`` must match; an int column receiving a
+      float / ``None`` / string / ≥ 2⁶³ value, or bool-int mixes, drop);
+    * object and unsigned columns drop on deletion — removing the one
+      ``None`` or the one ≥ 2⁶³ value changes what a rebuild infers;
+    * string columns are re-narrowed after deletions (numpy sizes them
+      by their longest value).
+
+    Neither input is written to.
+    """
+    kind = base.dtype.kind
+    if kind not in "bifUSO" or (kind == "O" and keep is not None):
+        return None
+    out = base if keep is None else base[keep]
+    if not len(out):
+        return tail if tail is not None else column_to_array(())
+    if kind in "US" and keep is not None:
+        width = max(int(np.char.str_len(out).max()), 1)
+        out = out.astype(f"{kind}{width}", copy=False)
+    if tail is None:
+        return out
+    if tail.dtype == out.dtype or (kind in "US" and tail.dtype.kind == kind):
+        return np.concatenate([out, tail])
+    if kind == "O":
+        # Still mixed after an append, whatever was appended.
+        return concat_column_parts((out, tail))
+    return None
 
 
 class ColumnarRelation:
@@ -349,6 +409,14 @@ class ColumnarRelation:
         This is how σ and η outputs chain without rebuilding rows: the
         child batch plus an index vector *is* the output; each column is
         gathered (one numpy fancy-index) only if something reads it.
+
+        A *selective* gather out of a row-backed batch (at most one row
+        in :data:`SELECTIVE_TAKE`) picks the row tuples instead: the
+        output is row-backed over them, gathers the columns this batch
+        already holds as arrays (built or carried), and converts any
+        other column from its own few rows — cost proportional to the
+        sample, not to the relation it was drawn from, and no
+        full-column array is built for a column only a sample needs.
         """
         idx = np.asarray(indices, dtype=np.intp)
 
@@ -358,6 +426,15 @@ class ColumnarRelation:
 
             return build
 
+        rows = self._rows
+        if rows is not None and len(idx) * SELECTIVE_TAKE <= self._nrows:
+            out = ColumnarRelation()
+            out.schema = self.schema
+            out._rows = rows_at(rows, idx)
+            out._nrows = len(idx)
+            held = list(self._arrays) + list(self._providers or ())
+            out._providers = {name: gather(name) for name in held}
+            return out
         providers = {name: gather(name) for name in self.schema.columns}
         return ColumnarRelation.from_providers(self.schema, providers, len(idx))
 
@@ -379,6 +456,33 @@ class ColumnarRelation:
         providers = {out: alias(src) for out, src in pairs}
         schema = Schema([out for out, _ in pairs])
         return ColumnarRelation.from_providers(schema, providers, self._nrows)
+
+    def patched(self, rows: list, keep, tail: "ColumnarRelation"):
+        """The row-backed batch of a relation patched from this one.
+
+        ``rows`` is the successor's row list: this batch's rows at the
+        positions ``keep`` (``None``: all of them) followed by ``tail``'s.
+        Every column array built or asked for here is handed over
+        through :func:`patch_column`, so the next period converts only
+        the rows it inserted.  The successor holds them as ready
+        providers: a column nobody asks for during its period is not
+        handed on again, so what is carried is the working set of the
+        maintenance plans, not every column ever converted.  Columns
+        never built (or dropped by the dtype rule) stay lazy.
+        """
+        out = ColumnarRelation()
+        out.schema = self.schema
+        out._rows = rows
+        out._nrows = len(rows)
+        providers = {}
+        for name, base in list(self._arrays.items()):
+            arr = patch_column(
+                base, keep, tail.array(name) if tail.nrows else None
+            )
+            if arr is not None:
+                providers[name] = lambda arr=arr: arr
+        out._providers = providers or None
+        return out
 
     def materialize_rows(self) -> list:
         """The batch as a list of row tuples (the evaluator-boundary

@@ -38,9 +38,16 @@ Implementation notes
   column which always carries the key value regardless of which side
   matched.
 * The η operator filters rows whose key hash (``repro.stats.hashing``)
-  falls below the sampling ratio.  The columnar path hashes all key
-  columns in one batched pass; the row path memoizes per-key draws in a
-  bounded, hash-family-aware cache (see :func:`hash_draw`).
+  falls below the sampling ratio.  For a named leaf the columnar path
+  keeps the *draws* — one float per row per ``(attrs, seed, family)`` —
+  on the leaf relation (:func:`eta_draws`), so the sample at any ratio
+  is ``draws < m``; :meth:`Relation.patched` carries them to the leaf's
+  successor (:func:`carry_draws`), so a maintenance period hashes only
+  its delta rows.  :func:`eta_sample` is the one η kernel on top of
+  them: the ``Hash(BaseRel)`` node, ``core.hashing.hash_sample`` and
+  ``SampleView.advance()`` all go through it.  The row path memoizes
+  per-key draws in a bounded, hash-family-aware cache
+  (:func:`hash_draw`).
 * Shared subtree objects are evaluated once per :func:`evaluate` call
   (maintenance strategies deliberately share the fresh-version subtrees
   across change-table terms).
@@ -94,7 +101,7 @@ from repro.algebra.predicates import (
     Tup,
     _int_bound,
 )
-from repro.algebra.relation import Relation
+from repro.algebra.relation import PER_ROW, Relation
 from repro.algebra.schema import Schema
 from repro.caches import register_cache
 from repro.errors import EvaluationError, KeyDerivationError, SchemaError
@@ -173,17 +180,76 @@ def hash_draw(values: tuple, seed: int) -> float:
     return got
 
 
-def eta_mask(columns, ratio: float, seed: int):
-    """Per-row sampling decisions for η over key ``columns``.
+def _draws(columns, seed: int) -> np.ndarray:
+    """One uniform draw per row of the key ``columns``.
 
     The linear family hashes all rows in one numpy pass; cryptographic
     families (where per-row hashing dwarfs dict overhead) go through the
-    memoized :func:`hash_draw`, so re-sampling the same keys at another
-    ratio — the adaptive-cleaning pattern — stays cheap.
+    memoized :func:`hash_draw`.
     """
     if get_hash_family() is linear_unit:
-        return unit_hash_batch(columns, seed) < ratio
-    return [hash_draw(key, seed) < ratio for key in zip(*columns)]
+        return unit_hash_batch(columns, seed)
+    return np.fromiter(
+        (hash_draw(key, seed) for key in zip(*columns)),
+        dtype=np.float64,
+        count=len(columns[0]),
+    )
+
+
+def eta_mask(columns, ratio: float, seed: int):
+    """Per-row sampling decisions for η over key ``columns``."""
+    return _draws(columns, seed) < ratio
+
+
+def eta_draws(rel: Relation, attrs, seed: int) -> np.ndarray:
+    """The η draws of ``rel``'s rows on ``attrs``, cached on the relation.
+
+    One float per row under the active hash family; the sample at any
+    ratio m is ``draws < m`` (the nested-sample property adaptive
+    cleaning relies on).  The family is part of the cache key, so a
+    ``set_hash_family`` switch needs no invalidation — entries of the
+    other family are simply not looked up.
+    """
+    attrs = tuple(attrs)
+    cache = rel.sample_cache()
+    key = (PER_ROW, "draws", attrs, seed, get_hash_family())
+    draws = cache.get(key)
+    if draws is None:
+        cols = rel.columnar()
+        draws = cache[key] = _draws([cols.pycolumn(a) for a in attrs], seed)
+    return draws
+
+
+def carry_draws(base: Relation, tail: Relation) -> None:
+    """Hash ``tail`` wherever ``base`` holds draws, ahead of
+    ``base.patched(..., tail)`` — the inserted rows are the only ones a
+    period hashes (once: η(ΔR) of the same period already left them on
+    the delta relation)."""
+    fam = get_hash_family()
+    for key in list(base.sample_cache()):
+        if isinstance(key, tuple) and key[:2] == (PER_ROW, "draws"):
+            if key[4] is fam:
+                eta_draws(tail, key[2], key[3])
+
+
+def eta_sample(rel: Relation, attrs, ratio: float, seed: int, positions=None):
+    """η_{attrs,ratio}(``rel``) as ``(row positions, gather batch)``.
+
+    Memoized on the relation per ``(attrs, ratio, seed, family)`` — a
+    thin memo over ``eta_draws(...) < ratio`` that keeps the gathered
+    columns warm across evaluations.  ``positions`` installs a
+    membership the caller has proved (``SampleView.advance()`` adopting
+    a clean sample) in place of hashing ``rel``.
+    """
+    attrs = tuple(attrs)
+    cache = rel.sample_cache()
+    key = (attrs, ratio, seed, get_hash_family())
+    hit = cache.get(key)
+    if not isinstance(hit, tuple):
+        if positions is None:
+            positions = np.flatnonzero(eta_draws(rel, attrs, seed) < ratio)
+        hit = cache[key] = (positions, rel.columnar().take(positions))
+    return hit
 
 
 def evaluate(expr: Expr, leaves: Mapping) -> Relation:
@@ -289,36 +355,35 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
         rows = [r for r in dict.fromkeys(left.rows) if r not in rset]
         return Relation.trusted(left.schema, rows)
     if isinstance(expr, Hash):
-        # Hash samples of named leaves are cached on the leaf relation —
-        # the in-memory analogue of a hash index over the sampling key
-        # (relations are immutable, so the cache cannot go stale).
-        cache = None
-        cache_key = None
-        if isinstance(expr.child, BaseRel):
-            leaf = leaves.get(expr.child.name) if hasattr(leaves, "get") else None
-            if leaf is not None:
-                cache = leaf.sample_cache()
-                # The family is part of the key: cached samples must not
-                # survive set_hash_family (same staleness bug the draw
-                # memo had).
-                cache_key = (expr.attrs, expr.ratio, expr.seed, get_hash_family())
-                hit = cache.get(cache_key)
-                if hit is not None:
-                    if isinstance(hit, ColumnarRelation):
-                        return Relation.from_columnar(hit, key=leaf.key)
-                    return Relation.trusted(leaf.schema, hit, key=leaf.key)
-        child = _eval(expr.child, leaves, memo)
+        # Draws and samples of named leaves are cached on the leaf
+        # relation — the in-memory analogue of a hash index over the
+        # sampling key (relations are immutable, so neither goes stale).
+        leaf = None
+        if isinstance(expr.child, BaseRel) and hasattr(leaves, "get"):
+            leaf = leaves.get(expr.child.name)
+            if not isinstance(leaf, Relation):
+                leaf = None
         ratio, seed = expr.ratio, expr.seed
+        if _COLUMNAR[0] and leaf is not None and len(leaf):
+            _, batch = eta_sample(leaf, expr.attrs, ratio, seed)
+            return Relation.from_columnar(batch, key=leaf.key)
+        child = _eval(expr.child, leaves, memo)
         if _COLUMNAR[0] and len(child):
-            # Batched η over whole key columns (vectorized for the
-            # linear family, memoized per key otherwise); the sampled
-            # output is a gather over the child batch.
+            # An intermediate result is hashed in one batched pass; the
+            # sampled output is a gather over the child batch.
             cols = child.columnar()
             mask = eta_mask([cols.pycolumn(a) for a in expr.attrs], ratio, seed)
             batch = cols.take(np.flatnonzero(mask))
-            if cache is not None:
-                cache[cache_key] = batch
             return Relation.from_columnar(batch, key=child.key)
+        cache = cache_key = None
+        if leaf is not None:
+            # The family is part of the key: cached samples must not
+            # survive set_hash_family.
+            cache = leaf.sample_cache()
+            cache_key = (expr.attrs, ratio, seed, get_hash_family())
+            hit = cache.get(cache_key)
+            if isinstance(hit, list):
+                return Relation.trusted(leaf.schema, hit, key=leaf.key)
         idx = child.schema.indexes(expr.attrs)
         rows = [
             row

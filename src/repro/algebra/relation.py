@@ -18,6 +18,15 @@ relations still carry a lazily-built columnar view
 caches are sound because relations are treated as immutable; every
 update path in the library builds a new ``Relation``.
 
+What a relation has paid for survives a maintenance period:
+:meth:`Relation.patched` builds the successor of a base relation from
+the surviving row positions plus the inserted rows — fresh lists and
+arrays, the predecessor is never written to — and hands it the column
+arrays the period asked for, every per-row array in the sample cache
+(the η draws) and the :class:`KeyIndex`, so a period converts, hashes
+and indexes only its deltas.  Nothing needs invalidating: the state lives on
+the relation it describes and dies with it.
+
 Pickling is storage-aware: a columnar-backed relation whose rows were
 never materialized ships its column arrays (numpy buffers — far smaller
 and faster to serialize than a list of per-row tuples), which is what
@@ -33,9 +42,110 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.algebra.columnar import ColumnarRelation
+from repro.algebra.columnar import ColumnarRelation, rows_at
 from repro.algebra.schema import Schema, as_schema
 from repro.errors import SchemaError
+
+#: First element of the ``Relation.sample_cache()`` keys whose value is
+#: one float per row, in row order (the η draws).  Being aligned with the
+#: rows is what lets :meth:`Relation.patched` carry them.
+PER_ROW = "__perrow__"
+
+#: ``Relation.sample_cache()`` key of the relation's :class:`KeyIndex`.
+_KEY_INDEX = "__keyindex__"
+
+#: Packed key codes must stay clear of int64 overflow.
+_CODE_LIMIT = 1 << 62
+
+
+def _exact_int(value) -> Optional[int]:
+    """The int a dict lookup would equate ``value`` with, if any
+    (``3.0`` and ``True`` find the key ``3`` / ``1``; ``"3"`` does not)."""
+    if type(value) is int:
+        return value
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
+
+
+class KeyIndex:
+    """Immutable key tuple → row position(s) of one relation.
+
+    Where every key column is a machine-integer array the index is two
+    arrays — the rows' keys packed into one mixed-radix int64 code each,
+    sorted, and the row order that sorts them — probed by
+    ``searchsorted`` (16 B per row).  Any other key type keeps the dict
+    form: key tuple → position, or a tuple of positions for a key that
+    several rows share.  Both answer exactly what a dict keyed by the
+    rows' key tuples would, and neither is ever handed out for writing:
+    pending deltas are resolved by lookup on top of it
+    (:meth:`repro.db.database.Database.update`).
+    """
+
+    __slots__ = ("_lows", "_spans", "_strides", "_codes", "_order", "_dict")
+
+    def __init__(self, rel: "Relation"):
+        self._codes = self._order = self._dict = None
+        columns = rel.columnar().arrays(rel.key)
+        if not self._pack(columns):
+            index: dict = {}
+            for pos, key in enumerate(zip(*(rel.column(k) for k in rel.key))):
+                seen = index.get(key)
+                if seen is None:
+                    index[key] = pos
+                elif type(seen) is int:
+                    index[key] = (seen, pos)
+                else:
+                    index[key] = seen + (pos,)
+            self._dict = index
+
+    def _pack(self, columns) -> bool:
+        if not columns or not len(columns[0]):
+            return False
+        if any(c.dtype.kind != "i" for c in columns):
+            return False
+        self._lows = [int(c.min()) for c in columns]
+        self._spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, self._lows)]
+        self._strides = []
+        stride = 1
+        for span in reversed(self._spans):
+            self._strides.insert(0, stride)
+            stride *= span
+        if stride >= _CODE_LIMIT:
+            return False
+        codes = np.zeros(len(columns[0]), dtype=np.int64)
+        for col, lo, step in zip(columns, self._lows, self._strides):
+            codes += (col - lo) * step
+        self._order = np.argsort(codes, kind="stable")
+        self._codes = codes[self._order]
+        return True
+
+    def positions(self, key: tuple) -> Sequence[int]:
+        """Every row position holding ``key``, ascending."""
+        if self._dict is not None:
+            got = self._dict.get(key, ())
+            return (got,) if type(got) is int else got
+        if len(key) != len(self._lows):
+            return ()
+        code = 0
+        for value, lo, span, step in zip(
+            key, self._lows, self._spans, self._strides
+        ):
+            value = _exact_int(value)
+            if value is None or not 0 <= value - lo < span:
+                return ()
+            code += (value - lo) * step
+        first = int(self._codes.searchsorted(code, "left"))
+        last = int(self._codes.searchsorted(code, "right"))
+        return self._order[first:last].tolist()
+
+    def last(self, key: tuple) -> int:
+        """Position of the last row holding ``key`` (the row a dict built
+        in row order would keep), or -1."""
+        found = self.positions(key)
+        return found[-1] if len(found) else -1
 
 
 class Relation:
@@ -117,17 +227,20 @@ class Relation:
         batch: ColumnarRelation,
         key: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
+        rows: Optional[list] = None,
     ) -> "Relation":
         """A relation backed by a columnar batch; ``.rows`` stays lazy.
 
         The batch-native evaluator's construction path: operators hand
         each other batches, and the row tuples are only built if (and
         when) something reads ``.rows``.  The batch may be shared — its
-        column caches only ever grow, never change.
+        column caches only ever grow, never change.  ``rows`` hands over
+        the batch's row tuples when the caller already holds them (a
+        gather out of a row-backed relation).
         """
         self = object.__new__(cls)
         self.schema = batch.schema
-        self._rows = None
+        self._rows = rows
         if key is not None:
             key = tuple(key)
             for k in key:
@@ -297,6 +410,20 @@ class Relation:
         idx = self.key_indexes()
         return {tuple(row[i] for i in idx): row for row in self.rows}
 
+    def key_lookup(self) -> KeyIndex:
+        """The (built-on-demand, cached) key → position index.
+
+        Unlike :meth:`key_index` it is never copied or rebuilt per call:
+        it is immutable, lives as long as the relation and is carried to
+        the relation's successor by :meth:`patched`.
+        """
+        cache = self.sample_cache()
+        index = cache.get(_KEY_INDEX)
+        if index is None:
+            self.key_indexes()  # raises when there is no primary key
+            index = cache[_KEY_INDEX] = KeyIndex(self)
+        return index
+
     def key_set(self) -> set:
         """The set of key-value tuples present in the relation."""
         idx = self.key_indexes()
@@ -314,6 +441,50 @@ class Relation:
                 return False
             seen.add(k)
         return True
+
+    # ------------------------------------------------------------------
+    # Period-to-period succession
+    # ------------------------------------------------------------------
+    def patched(self, drop: Iterable[int], tail: "Relation") -> "Relation":
+        """This relation without the rows at positions ``drop`` and with
+        ``tail``'s rows appended — a new, row-backed relation.
+
+        Survivors keep their order, the appended rows theirs.  The
+        successor inherits what this relation already built: its column
+        arrays (:meth:`ColumnarRelation.patched`), every :data:`PER_ROW`
+        array of the sample cache that ``tail`` holds too (the caller
+        sees to that — ``repro.algebra.evaluator.carry_draws``) and, if
+        there was one, a key index.  Everything handed over is freshly
+        allocated or shared unchanged; nothing reachable from ``self`` is
+        written to, so readers still holding ``self`` are undisturbed.
+        """
+        rows = self.rows
+        drop = list(drop)
+        keep = None
+        if drop:
+            keep = np.delete(np.arange(len(rows), dtype=np.intp), drop)
+            kept = rows_at(rows, keep)
+        else:
+            kept = list(rows)
+        kept.extend(tail.rows)
+        out = Relation.trusted(self.schema, kept, key=self.key, name=self.name)
+        if self._columnar is not None:
+            out._columnar = self._columnar.patched(kept, keep, tail.columnar())
+        if self._sample_cache:
+            carried = {}
+            theirs = tail._sample_cache or {}
+            for key, mine in list(self._sample_cache.items()):
+                if not (isinstance(key, tuple) and key and key[0] == PER_ROW):
+                    continue
+                extra = theirs.get(key)
+                if extra is not None:
+                    if keep is not None:
+                        mine = mine[keep]
+                    carried[key] = np.concatenate([mine, extra])
+            out._sample_cache = carried
+            if _KEY_INDEX in self._sample_cache:
+                carried[_KEY_INDEX] = KeyIndex(out)
+        return out
 
     # ------------------------------------------------------------------
     # Simple derivations (used by tests and workload builders; the full

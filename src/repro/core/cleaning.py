@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.algebra.evaluator import hash_draw
+import numpy as np
+
+from repro.algebra.columnar import factorize_key_codes
+from repro.algebra.evaluator import columnar_enabled, eta_sample, hash_draw
 from repro.algebra.expressions import Expr, Hash
 from repro.algebra.relation import Relation
 from repro.core.hashing import hash_sample
@@ -71,6 +74,29 @@ def cleaning_expression(
     return push_down_with_report(hashed, view.database.leaves())
 
 
+def _try_positions(data: Relation, sample: Relation, key) -> Optional[np.ndarray]:
+    """Ascending row positions in ``data`` of ``sample``'s keys, or
+    ``None`` to fall back to hashing ``data`` (engine off, keys that do
+    not factorize, or a key of either side that is not unique in
+    ``data``)."""
+    if not columnar_enabled() or not len(data):
+        return None
+    codes = factorize_key_codes(data.columnar(), sample.columnar(), key, key)
+    if codes is None:
+        return None
+    data_codes, sample_codes, n_keys = codes
+    position = np.full(n_keys, -1, dtype=np.intp)
+    position[data_codes] = np.arange(len(data_codes), dtype=np.intp)
+    found = np.unique(position[sample_codes])
+    if (
+        int((position >= 0).sum()) != len(data_codes)
+        or len(found) != len(sample_codes)
+        or (len(found) and found[0] < 0)
+    ):
+        return None
+    return found
+
+
 class SampleView:
     """The SVC-maintained sample of one materialized view.
 
@@ -112,6 +138,8 @@ class SampleView:
             view.require_data(), ratio, seed=seed, attrs=self.sample_attrs
         )
         self.clean_sample: Optional[Relation] = None
+        #: ``view.state()`` the clean sample was computed from.
+        self._cleaned_from: Optional[tuple] = None
         self.last_report: Optional[PushdownReport] = None
 
     # ------------------------------------------------------------------
@@ -134,10 +162,11 @@ class SampleView:
             sample_attrs=self.sample_attrs,
         )
         self.last_report = report
+        state = self.view.state()
         result = self._evaluate_cleaning(expr, strategy)
         result.key = self.view.key
         result.name = f"{self.view.name}__sample"
-        self.clean_sample = result
+        self.clean_sample, self._cleaned_from = result, state
         return result
 
     def _evaluate_cleaning(
@@ -175,14 +204,27 @@ class SampleView:
     def advance(self) -> None:
         """Re-anchor after the underlying view was fully maintained.
 
-        The clean sample becomes the new dirty sample (it is exactly
-        η(S') of the maintained view because hashing is deterministic).
+        The new dirty sample is η(S') of the maintained view, through
+        the kernel the evaluator's ``Hash(BaseRel)`` node uses, so the
+        next ``refresh()`` finds η(S) already on the view.  The clean
+        sample *is* η(S') (hashing is deterministic) whenever the view
+        was maintained from exactly the state the sample was cleaned
+        from — same stale rows, same pending deltas; then its key set is
+        adopted and nothing is hashed.  Either way the result is
+        row-identical to ``hash_sample(view.require_data(), ...)``.
         """
         data = self.view.require_data()
+        clean, cleaned_from = self.clean_sample, self._cleaned_from
+        self.clean_sample = self._cleaned_from = None
+        if clean is not None and cleaned_from == self.view.maintained_from():
+            positions = _try_positions(data, clean, self.view.key)
+            if positions is not None:
+                eta_sample(
+                    data, self.sample_attrs, self.ratio, self.seed, positions
+                )
         self.dirty_sample = hash_sample(
             data, self.ratio, seed=self.seed, attrs=self.sample_attrs
         )
-        self.clean_sample = None
 
     # ------------------------------------------------------------------
     def check_correspondence(self, fresh: Relation) -> CorrespondenceCheck:

@@ -4,16 +4,23 @@ The expression-tree form of the operator is
 :class:`repro.algebra.expressions.Hash`; this module provides the direct
 relation-level form used to draw the initial stale sample Ŝ, plus the
 uniformity diagnostics referenced in §12.3.
+
+:func:`hash_sample` runs on the same kernel as the evaluator's
+``Hash(BaseRel)`` node (:func:`repro.algebra.evaluator.eta_sample`): the
+relation caches its η *draws* — one float per row, whatever the ratio —
+and a sample is ``draws < m``, so sampling a relation also serves the
+next evaluation of η over it, and a base relation's draws follow it
+through ``apply_deltas()``.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from repro.algebra.evaluator import columnar_enabled, eta_mask, hash_draw
+from repro.algebra.evaluator import columnar_enabled, eta_sample, hash_draw
+from repro.algebra.columnar import rows_at
 from repro.algebra.relation import Relation
 from repro.errors import EstimationError
 from repro.stats.hashing import (
@@ -55,18 +62,17 @@ def hash_sample(
             )
         attrs = rel.key
     idx = rel.schema.indexes(attrs)
-    if columnar_enabled() and rel.rows:
-        # One batched pass over the key columns (columnar η fast path;
-        # vectorized for the linear family, memoized per key otherwise).
-        cols = rel.columnar()
-        mask = eta_mask([cols.pycolumn(a) for a in attrs], ratio, seed)
-        rows = list(compress(rel.rows, mask))
-    else:
-        rows = [
-            row
-            for row in rel.rows
-            if hash_draw(tuple(row[i] for i in idx), seed) < ratio
-        ]
+    if columnar_enabled() and len(rel):
+        positions, batch = eta_sample(rel, attrs, ratio, seed)
+        # Out of a row-backed relation the sample's rows are its own
+        # tuples; a columnar-backed one keeps them lazy.
+        rows = rows_at(rel.rows, positions) if rel.is_materialized else None
+        return Relation.from_columnar(batch, key=rel.key, name=rel.name, rows=rows)
+    rows = [
+        row
+        for row in rel.rows
+        if hash_draw(tuple(row[i] for i in idx), seed) < ratio
+    ]
     return Relation(rel.schema, rows, key=rel.key, name=rel.name)
 
 

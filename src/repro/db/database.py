@@ -66,35 +66,50 @@ class Database:
         """Queue deletions (full rows) from base relation ``name``."""
         self.deltas.for_relation(self.relation(name)).delete(rows)
 
-    def effective_key_index(self, name: str) -> Dict[tuple, tuple]:
-        """Key -> row as of *now*, with pending deltas overlaid.
+    def _effective_rows(self, name: str):
+        """``(lookup, overlay)``: key -> row as of *now*.
 
         Updates and keyed deletes issued mid-period must resolve against
         the current effective rows, not the stale base — otherwise two
         updates of the same key both delete the original record and both
         insertions survive, breaking the telescoped delete+insert pair.
+        The base relation's key index is cached on the relation and
+        never copied: pending deltas are resolved by looking in
+        ``overlay`` (key -> pending row, ``None`` for a pending delete)
+        first.  ``overlay`` is this call's own dict; the caller records
+        there what it resolves, so one batch telescopes too.
         """
         rel = self.relation(name)
-        index = rel.key_index()
+        index = rel.key_lookup()
+        rows = rel.rows
         delta = self.deltas.get(name)
+        overlay: Dict[tuple, Optional[tuple]] = {}
         if delta is not None and not delta.is_empty():
-            for k, row in delta.pending_key_overlay(rel.key_indexes()).items():
-                if row is None:
-                    index.pop(k, None)
-                else:
-                    index[k] = row
-        return index
+            overlay = delta.pending_key_overlay(rel.key_indexes())
+
+        def lookup(k: tuple) -> tuple:
+            if k in overlay:
+                row = overlay[k]
+            else:
+                pos = index.last(k)
+                row = rows[pos] if pos >= 0 else None
+            if row is None:
+                raise MaintenanceError(f"{name!r} has no record with key {k!r}")
+            return row
+
+        return lookup, overlay
 
     def delete_by_key(self, name: str, keys: Iterable[tuple]) -> None:
         """Queue deletions given key values; rows are looked up in the
-        effective (pending-delta-applied) state."""
-        index = self.effective_key_index(name)
+        effective (pending-delta-applied) state.  A key that occurs
+        twice in ``keys`` is an error the second time, as it is across
+        two calls; nothing is queued then."""
+        lookup, overlay = self._effective_rows(name)
         rows = []
         for k in keys:
             k = tuple(k)
-            if k not in index:
-                raise MaintenanceError(f"{name!r} has no record with key {k!r}")
-            rows.append(index[k])
+            rows.append(lookup(k))
+            overlay[k] = None
         self.delete(name, rows)
 
     def update(self, name: str, new_rows: Iterable[tuple]) -> None:
@@ -105,18 +120,15 @@ class Database:
         updates of one key telescope: the delta nets to one deletion of
         the original record plus one insertion of the final version.
         """
-        rel = self.relation(name)
-        index = self.effective_key_index(name)
-        key_idx = rel.key_indexes()
+        key_idx = self.relation(name).key_indexes()
+        lookup, overlay = self._effective_rows(name)
         old_rows, ins_rows = [], []
         for row in new_rows:
             row = tuple(row)
             k = tuple(row[i] for i in key_idx)
-            if k not in index:
-                raise MaintenanceError(f"{name!r} has no record with key {k!r}")
-            old_rows.append(index[k])
+            old_rows.append(lookup(k))
             ins_rows.append(row)
-            index[k] = row  # updates within one batch telescope too
+            overlay[k] = row  # updates within one batch telescope too
         self.delete(name, old_rows)
         self.insert(name, ins_rows)
 
@@ -135,14 +147,8 @@ class Database:
             delta = self.deltas.get(name)
             if delta is None or delta.is_empty():
                 continue
-            rel = self.relation(name)
-            deleted = set(delta.deleted)
-            rows = [r for r in rel.rows if r not in deleted]
-            rows.extend(delta.inserted)
-            self._relations[name] = Relation(
-                rel.schema, rows, key=rel.key, name=rel.name
-            )
-            delta.base = self._relations[name]
+            rel = delta.applied(self.relation(name))
+            delta.base = self._relations[name] = rel
             delta.clear()
 
     # ------------------------------------------------------------------
@@ -180,10 +186,7 @@ class Database:
             if delta is None or delta.is_empty():
                 out[name] = rel
                 continue
-            deleted = set(delta.deleted)
-            rows = [r for r in rel.rows if r not in deleted]
-            rows.extend(delta.inserted)
-            out[name] = Relation(rel.schema, rows, key=rel.key, name=name)
+            out[name] = delta.applied(rel)
         out.update(self._views)
         return out
 

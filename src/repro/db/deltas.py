@@ -16,12 +16,21 @@ relations are memoized between mutations, which keeps their hash-sample
 and shard-partition caches warm across the maintenance round; sharded
 maintenance partitions these delta relations alongside their base
 relation (:mod:`repro.distributed.shard`).
+
+Folding a delta into its base is :meth:`Delta.applied` — the one place
+that builds the next period's relation (``Database.apply_deltas()`` and
+``Database.fresh_leaves()`` both call it).  It patches the base
+(:meth:`Relation.patched <repro.algebra.relation.Relation.patched>`)
+instead of rebuilding it: the deleted rows are located through the
+base's key index and the successor inherits the base's column arrays, η
+draws and key index.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.algebra.evaluator import carry_draws
 from repro.algebra.relation import Relation
 from repro.errors import MaintenanceError
 
@@ -56,11 +65,13 @@ class Delta:
     ``apply_deltas`` cannot duplicate the key.
     """
 
-    __slots__ = ("base", "_ins", "_del", "_ins_list", "_del_list",
+    __slots__ = ("base", "version", "_ins", "_del", "_ins_list", "_del_list",
                  "_ins_rel", "_del_rel")
 
     def __init__(self, base: Relation):
         self.base = base
+        #: Number of mutations so far (see :attr:`DeltaSet.stamp`).
+        self.version = 0
         # Ordered row -> pending count maps (first-queued order preserved).
         self._ins: Dict[tuple, int] = {}
         self._del: Dict[tuple, int] = {}
@@ -94,6 +105,7 @@ class Delta:
         return not self._ins and not self._del
 
     def _invalidate(self) -> None:
+        self.version += 1
         self._ins_list = self._del_list = None
         self._ins_rel = self._del_rel = None
 
@@ -173,6 +185,28 @@ class Delta:
             )
         return self._del_rel
 
+    def applied(self, base: Relation) -> Relation:
+        """``base`` with the pending changes folded in (a new relation).
+
+        Survivors in base order, then the insertions in queue order; a
+        pending deletion removes every base row equal to it.  The base
+        is patched, not rebuilt — see the module docstring.
+        """
+        drop = []
+        if self._del:
+            rows = base.rows
+            index = base.key_lookup()
+            key_idx = base.key_indexes()
+            drop = [
+                pos
+                for row in self._del
+                for pos in index.positions(tuple(row[i] for i in key_idx))
+                if rows[pos] == row
+            ]
+        tail = self.insertions_relation()
+        carry_draws(base, tail)
+        return base.patched(drop, tail)
+
     def clear(self) -> None:
         """Discard pending changes (after they are folded into the base)."""
         self._ins = {}
@@ -185,6 +219,12 @@ class DeltaSet:
 
     def __init__(self):
         self._deltas: Dict[str, Delta] = {}
+
+    @property
+    def stamp(self) -> int:
+        """Monotone mutation stamp: two equal readings bracket a span in
+        which no delta of the database was touched."""
+        return sum(d.version for d in self._deltas.values())
 
     def for_relation(self, rel: Relation) -> Delta:
         """The (created-on-demand) delta of one base relation."""

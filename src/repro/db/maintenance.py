@@ -452,6 +452,7 @@ def _maintain_impl(view, strategy: Optional[MaintenanceStrategy] = None):
     plan = None
     if strategy is None:
         strategy, plan = compiled_strategy(view)
+    source = view.state()
     result = None
     from repro.distributed.shard import get_shard_count
 
@@ -467,4 +468,4 @@ def _maintain_impl(view, strategy: Optional[MaintenanceStrategy] = None):
             # Caller-supplied strategies still compile (and hit the
             # global fingerprint-keyed cache on repeats).
             result = compiled_evaluate(strategy.expr, leaves)
-    return view.set_data(result)
+    return view.set_data(result, maintained_from=source)

@@ -78,6 +78,13 @@ class MaterializedView:
                 f"view {name!r} has no derivable primary key (Def 2)"
             )
         self.data: Optional[Relation] = None
+        #: Bumped whenever new rows are installed; with the database's
+        #: delta stamp it names "this data under these pending deltas".
+        self.data_version = 0
+        #: ``(installed relation, state it was maintained from)`` of the
+        #: last :func:`~repro.db.maintenance.maintain` — see
+        #: :meth:`maintained_from`.
+        self._maintained: Optional[tuple] = None
         #: Compiled maintenance pipelines, keyed by round signature (see
         #: :func:`repro.db.maintenance.compiled_strategy`).  Entries are
         #: additionally gated on the plan epoch and leaf schemas at
@@ -91,9 +98,30 @@ class MaterializedView:
         rel = evaluate(self.definition, self.database.leaves())
         rel.name = self.name
         rel.key = self.key
-        self.data = rel
-        self.database.register_view_data(self.name, rel)
+        self._install(rel, None)
         return rel
+
+    def _install(self, rel: Relation, maintained_from: Optional[tuple]) -> None:
+        self.data = rel
+        self.data_version += 1
+        self._maintained = (
+            None if maintained_from is None else (rel, maintained_from)
+        )
+        self.database.register_view_data(self.name, rel)
+
+    def state(self) -> tuple:
+        """``(data version, delta stamp)``: what a maintenance strategy
+        or cleaning expression evaluated now would read."""
+        return (self.data_version, self.database.deltas.stamp)
+
+    def maintained_from(self) -> Optional[tuple]:
+        """The :meth:`state` the current data was maintained from, or
+        ``None`` when it was installed any other way (materialized, set
+        by hand, rolled back)."""
+        held = self._maintained
+        if held is not None and held[0] is self.data:
+            return held[1]
+        return None
 
     def require_data(self) -> Relation:
         """The materialized rows; raises if materialize() was never run."""
@@ -101,13 +129,17 @@ class MaterializedView:
             raise MaintenanceError(f"view {self.name!r} is not materialized")
         return self.data
 
-    def set_data(self, rel: Relation) -> Relation:
+    def set_data(
+        self, rel: Relation, maintained_from: Optional[tuple] = None
+    ) -> Relation:
         """Install maintained rows as the new materialized state.
 
         The incoming relation's storage is kept as-is — columnar-backed
         maintenance results stay columnar (rows materialize lazily on
         first read), and row-backed ones share their already-validated
         rows list — only the key/name are rebranded to the view's.
+        ``maintained_from`` is the :meth:`state` the rows were maintained
+        from (``maintain()`` passes it; see :meth:`maintained_from`).
         """
         for k in self.key:
             rel.schema.index(k)
@@ -119,8 +151,7 @@ class MaterializedView:
             rel = Relation.from_columnar(
                 rel.columnar(), key=self.key, name=self.name
             )
-        self.data = rel
-        self.database.register_view_data(self.name, rel)
+        self._install(rel, maintained_from)
         return rel
 
     def invalidate_plans(self) -> None:

@@ -18,7 +18,7 @@ from repro.core.cleaning import cleaning_expression
 from repro.core.estimators import AggQuery
 from repro.core.svc import StaleViewCleaner
 from repro.db.catalog import Catalog
-from repro.db.maintenance import choose_strategy
+from repro.db.maintenance import choose_strategy, maintain
 from repro.experiments.harness import ExperimentResult, median_errors, timed
 from repro.workloads.join_view import (
     SAMPLE_ATTRS,
@@ -38,15 +38,60 @@ def _build(scale: float, z: float, seed: int):
     return db, gen, view
 
 
-def _clean_time(view, ratio: float, seed: int) -> float:
-    """Steady-state SVC cleaning time (hash caches warmed, as a database
-    with a hash index on the sampling key would behave)."""
-    strategy = choose_strategy(view)
+#: Cold timings are single shots by nature; each is the best of this
+#: many consecutive maintenance periods.
+COLD_PERIODS = 2
+
+
+def _close_period(db, view, cleaner: StaleViewCleaner) -> None:
+    """Maintain the view, fold the deltas in, re-anchor the sample."""
+    maintain(view)
+    db.apply_deltas()
+    cleaner.advance()
+
+
+def _steady_state(scale: float, z: float, seed: int, ratio: float,
+                  update_fraction: float):
+    """(db, gen, view, cleaner) one full maintenance period after set-up.
+
+    What is timed next runs on base relations a real ``apply_deltas()``
+    produced and on a sample ``advance()`` re-anchored — the state every
+    period of a running system starts from — not on the relations the
+    generator built.
+    """
+    db, gen, view = _build(scale, z, seed)
+    cleaner = StaleViewCleaner(view, ratio=ratio, seed=seed,
+                               sample_attrs=SAMPLE_ATTRS)
+    gen.generate_updates(db, update_fraction)
+    cleaner.refresh()
+    _close_period(db, view, cleaner)
+    return db, gen, view, cleaner
+
+
+def _clean_times(db, gen, view, cleaner: StaleViewCleaner,
+                 update_fraction: float):
+    """``(cold, warm)`` seconds of cleaning one period's updates; leaves
+    the last period's deltas pending.
+
+    *Cold* is the facade as an application calls it: a period's first
+    ``refresh()``, on deltas nothing has evaluated yet, after a real
+    ``apply_deltas()``.  *Warm* is the best of three re-evaluations of
+    the same cleaning expression right after — every lazy column, draw
+    and sample of the period already built; the number this module used
+    to report alone.
+    """
+    cold = float("inf")
+    for period in range(COLD_PERIODS):
+        if period:
+            _close_period(db, view, cleaner)
+        gen.generate_updates(db, update_fraction)
+        cold = min(cold, timed(cleaner.refresh))
     expr, _ = cleaning_expression(
-        view, ratio, seed, strategy, sample_attrs=SAMPLE_ATTRS
+        view, cleaner.ratio, cleaner.seed, choose_strategy(view),
+        sample_attrs=SAMPLE_ATTRS,
     )
-    evaluate(expr, view.database.leaves())  # warm
-    return timed(lambda: evaluate(expr, view.database.leaves()), repeat=3)
+    warm = timed(lambda: evaluate(expr, view.database.leaves()), repeat=3)
+    return cold, warm
 
 
 def _ivm_time(view) -> float:
@@ -60,19 +105,31 @@ def fig4a_maintenance_vs_ratio(
     ratios: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
     seed: int = 42,
 ) -> ExperimentResult:
-    """Fig 4(a): SVC maintenance time as a function of sampling ratio."""
-    db, gen, view = _build(scale, 2.0, seed)
-    gen.generate_updates(db, update_fraction)
-    ivm = _ivm_time(view)
+    """Fig 4(a): SVC maintenance time as a function of sampling ratio.
+
+    ``svc_seconds`` is the cold ``refresh()`` of a period that follows a
+    real ``apply_deltas()`` (one fresh database per ratio, so no ratio
+    inherits another's lazy state); ``svc_warm_seconds`` the pre-warmed
+    re-evaluation; ``ivm_seconds`` the (warm, best-of-three) change-table
+    strategy on the first database's pending period.
+    """
     result = ExperimentResult(
         "fig4a", "Join View: maintenance time vs sampling ratio",
-        notes=f"IVM (full) = {ivm:.3f}s; paper: SVC grows ~linearly in m, "
-              "well below IVM at m=0.1",
+        notes="paper: SVC grows ~linearly in m, well below IVM at m=0.1; "
+              "svc_seconds = cold refresh(), svc_warm_seconds = re-evaluation",
     )
+    ivm = None
     for m in ratios:
+        db, gen, view, cleaner = _steady_state(
+            scale, 2.0, seed, m, update_fraction
+        )
+        cold, warm = _clean_times(db, gen, view, cleaner, update_fraction)
+        if ivm is None:
+            ivm = _ivm_time(view)
         result.add(
             sampling_ratio=m,
-            svc_seconds=_clean_time(view, m, seed),
+            svc_seconds=cold,
+            svc_warm_seconds=warm,
             ivm_seconds=ivm,
         )
     return result
@@ -86,19 +143,20 @@ def fig4b_speedup_vs_update_size(
     ),
     seed: int = 42,
 ) -> ExperimentResult:
-    """Fig 4(b): speedup of SVC-10% over IVM as update size grows."""
+    """Fig 4(b): speedup of SVC-10% over IVM as update size grows
+    (``speedup`` is IVM over the *cold* ``refresh()``)."""
     result = ExperimentResult(
         "fig4b", "Join View: SVC 10% speedup vs update size",
         notes="paper: speedup grows with update size (both join inputs grow)",
     )
     for frac in update_fractions:
-        db, gen, view = _build(scale, 2.0, seed)
-        gen.generate_updates(db, frac)
-        svc_t = _clean_time(view, ratio, seed)
+        db, gen, view, cleaner = _steady_state(scale, 2.0, seed, ratio, frac)
+        svc_t, warm_t = _clean_times(db, gen, view, cleaner, frac)
         ivm_t = _ivm_time(view)
         result.add(
             update_fraction=frac,
             svc_seconds=svc_t,
+            svc_warm_seconds=warm_t,
             ivm_seconds=ivm_t,
             speedup=ivm_t / svc_t if svc_t > 0 else float("inf"),
         )
@@ -141,16 +199,13 @@ def fig6a_total_time(
     seed: int = 42,
 ) -> ExperimentResult:
     """Fig 6(a): maintenance + query time for IVM / SVC+CORR / SVC+AQP."""
-    db, gen, view = _build(scale, 2.0, seed)
-    gen.generate_updates(db, update_fraction)
+    db, gen, view, svc = _steady_state(
+        scale, 2.0, seed, ratio, update_fraction
+    )
     query = AggQuery("sum", "revenue")
 
+    svc_maint, _ = _clean_times(db, gen, view, svc, update_fraction)
     ivm_maint = _ivm_time(view)
-    svc_maint = _clean_time(view, ratio, seed)
-
-    svc = StaleViewCleaner(view, ratio=ratio, seed=seed,
-                           sample_attrs=SAMPLE_ATTRS)
-    svc.refresh()
     stale_value = query.evaluate(view.require_data())
     ivm_query = timed(lambda: query.evaluate(view.require_data()))
     corr_query = timed(lambda: svc.query(query, method="corr"))
