@@ -116,12 +116,6 @@ _FAITHFUL_TYPES = {
 }
 
 
-#: A gather of at most one row in this many, out of a row-backed batch,
-#: converts columns from the gathered rows rather than from the whole
-#: batch (:meth:`ColumnarRelation.take`).
-SELECTIVE_TAKE = 4
-
-
 def rows_at(rows: list, positions: np.ndarray) -> list:
     """``rows`` at ``positions``, in that order (one C-speed gather)."""
     if len(positions) < 2:
@@ -260,6 +254,16 @@ class ColumnarRelation:
             self._nrows = 0
 
     @classmethod
+    def from_rows(cls, schema, rows: list) -> "ColumnarRelation":
+        """A row-backed batch over a list of row tuples (shared, not
+        copied); each column is converted from them on first access."""
+        self = cls()
+        self.schema = schema
+        self._rows = rows
+        self._nrows = len(rows)
+        return self
+
+    @classmethod
     def from_providers(
         cls, schema, providers: Dict[str, Callable[[], np.ndarray]], nrows: int
     ) -> "ColumnarRelation":
@@ -332,6 +336,12 @@ class ColumnarRelation:
     def nrows(self) -> int:
         """Number of rows in the batch."""
         return self._nrows
+
+    @property
+    def row_backed(self) -> bool:
+        """True for a batch built over row tuples — fixed at
+        construction, whatever has been cached since."""
+        return self._rows is not None
 
     def pycolumn(self, name: str) -> list:
         """One column as a plain Python list, in row order (cached).
@@ -409,14 +419,6 @@ class ColumnarRelation:
         This is how σ and η outputs chain without rebuilding rows: the
         child batch plus an index vector *is* the output; each column is
         gathered (one numpy fancy-index) only if something reads it.
-
-        A *selective* gather out of a row-backed batch (at most one row
-        in :data:`SELECTIVE_TAKE`) picks the row tuples instead: the
-        output is row-backed over them, gathers the columns this batch
-        already holds as arrays (built or carried), and converts any
-        other column from its own few rows — cost proportional to the
-        sample, not to the relation it was drawn from, and no
-        full-column array is built for a column only a sample needs.
         """
         idx = np.asarray(indices, dtype=np.intp)
 
@@ -426,15 +428,6 @@ class ColumnarRelation:
 
             return build
 
-        rows = self._rows
-        if rows is not None and len(idx) * SELECTIVE_TAKE <= self._nrows:
-            out = ColumnarRelation()
-            out.schema = self.schema
-            out._rows = rows_at(rows, idx)
-            out._nrows = len(idx)
-            held = list(self._arrays) + list(self._providers or ())
-            out._providers = {name: gather(name) for name in held}
-            return out
         providers = {name: gather(name) for name in self.schema.columns}
         return ColumnarRelation.from_providers(self.schema, providers, len(idx))
 
@@ -470,10 +463,7 @@ class ColumnarRelation:
         maintenance plans, not every column ever converted.  Columns
         never built (or dropped by the dtype rule) stay lazy.
         """
-        out = ColumnarRelation()
-        out.schema = self.schema
-        out._rows = rows
-        out._nrows = len(rows)
+        out = ColumnarRelation.from_rows(self.schema, rows)
         providers = {}
         for name, base in list(self._arrays.items()):
             arr = patch_column(

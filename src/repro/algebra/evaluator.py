@@ -78,6 +78,7 @@ from repro.algebra.columnar import (
     factorize_key_codes,
     group_ids,
     grouped_starts,
+    rows_at,
     scatter_column,
 )
 from repro.algebra.expressions import (
@@ -232,24 +233,41 @@ def carry_draws(base: Relation, tail: Relation) -> None:
                 eta_draws(tail, key[2], key[3])
 
 
-def eta_sample(rel: Relation, attrs, ratio: float, seed: int, positions=None):
-    """η_{attrs,ratio}(``rel``) as ``(row positions, gather batch)``.
+def eta_sample(
+    rel: Relation, attrs, ratio: float, seed: int, positions=None
+) -> ColumnarRelation:
+    """η_{attrs,ratio}(``rel``) as a batch.
 
     Memoized on the relation per ``(attrs, ratio, seed, family)`` — a
-    thin memo over ``eta_draws(...) < ratio`` that keeps the gathered
+    thin memo over ``eta_draws(...) < ratio`` that keeps the sample's
     columns warm across evaluations.  ``positions`` installs a
     membership the caller has proved (``SampleView.advance()`` adopting
     a clean sample) in place of hashing ``rel``.
+
+    Out of a row-backed relation the sample is a row-backed batch over
+    its own tuples: a column is converted from the sampled rows, so the
+    cost is proportional to the sample and no full-column array of
+    ``rel`` is built for a column only the sample needs.  Out of a
+    columnar relation it is a gather (:meth:`ColumnarRelation.take`).
+    Which of the two is fixed by how ``rel`` was built, not by what it
+    has cached.
     """
     attrs = tuple(attrs)
     cache = rel.sample_cache()
     key = (attrs, ratio, seed, get_hash_family())
-    hit = cache.get(key)
-    if not isinstance(hit, tuple):
+    batch = cache.get(key)
+    if not isinstance(batch, ColumnarRelation):
         if positions is None:
             positions = np.flatnonzero(eta_draws(rel, attrs, seed) < ratio)
-        hit = cache[key] = (positions, rel.columnar().take(positions))
-    return hit
+        cols = rel.columnar()
+        if cols.row_backed:
+            batch = ColumnarRelation.from_rows(
+                rel.schema, rows_at(rel.rows, positions)
+            )
+        else:
+            batch = cols.take(positions)
+        cache[key] = batch
+    return batch
 
 
 def evaluate(expr: Expr, leaves: Mapping) -> Relation:
@@ -365,7 +383,7 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
                 leaf = None
         ratio, seed = expr.ratio, expr.seed
         if _COLUMNAR[0] and leaf is not None and len(leaf):
-            _, batch = eta_sample(leaf, expr.attrs, ratio, seed)
+            batch = eta_sample(leaf, expr.attrs, ratio, seed)
             return Relation.from_columnar(batch, key=leaf.key)
         child = _eval(expr.child, leaves, memo)
         if _COLUMNAR[0] and len(child):

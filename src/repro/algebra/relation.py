@@ -73,39 +73,39 @@ def _exact_int(value) -> Optional[int]:
 class KeyIndex:
     """Immutable key tuple → row position(s) of one relation.
 
-    Where every key column is a machine-integer array the index is two
-    arrays — the rows' keys packed into one mixed-radix int64 code each,
-    sorted, and the row order that sorts them — probed by
-    ``searchsorted`` (16 B per row).  Any other key type keeps the dict
-    form: key tuple → position, or a tuple of positions for a key that
-    several rows share.  Both answer exactly what a dict keyed by the
-    rows' key tuples would, and neither is ever handed out for writing:
-    pending deltas are resolved by lookup on top of it
-    (:meth:`repro.db.database.Database.update`).
+    Every row's key is reduced to one int64 *code*; the index is two
+    arrays — the codes sorted, and the row order that sorts them —
+    probed by ``searchsorted`` (16 B per row).  Where every key column
+    is a machine-integer array the code is the key packed mixed-radix,
+    computed in numpy.  Any other key type numbers its distinct key
+    tuples in a dict (key tuple → code), so a lookup equates exactly
+    what a dict keyed by the rows' key tuples would (``3.0`` finds
+    ``3``).  Neither form is ever handed out for writing: pending deltas
+    are resolved by lookup on top of it
+    (:meth:`repro.db.database.Database.update`), and :meth:`patched`
+    derives a successor's index into fresh arrays and a fresh dict.
     """
 
-    __slots__ = ("_lows", "_spans", "_strides", "_codes", "_order", "_dict")
+    __slots__ = ("_lows", "_spans", "_strides", "_ids", "_codes", "_order")
 
     def __init__(self, rel: "Relation"):
-        self._codes = self._order = self._dict = None
-        columns = rel.columnar().arrays(rel.key)
-        if not self._pack(columns):
-            index: dict = {}
-            for pos, key in enumerate(zip(*(rel.column(k) for k in rel.key))):
-                seen = index.get(key)
-                if seen is None:
-                    index[key] = pos
-                elif type(seen) is int:
-                    index[key] = (seen, pos)
-                else:
-                    index[key] = seen + (pos,)
-            self._dict = index
+        self._ids = None
+        codes = self._pack(rel.columnar().arrays(rel.key))
+        if codes is None:
+            self._ids = {}
+            codes = self._number(_key_tuples(rel, rel.key), 0)
+        self._sort(codes)
 
-    def _pack(self, columns) -> bool:
+    def _sort(self, codes: np.ndarray) -> None:
+        self._order = np.argsort(codes, kind="stable")
+        self._codes = codes[self._order]
+
+    def _pack(self, columns) -> Optional[np.ndarray]:
+        """Mixed-radix codes of machine-integer key columns, else None."""
         if not columns or not len(columns[0]):
-            return False
+            return None
         if any(c.dtype.kind != "i" for c in columns):
-            return False
+            return None
         self._lows = [int(c.min()) for c in columns]
         self._spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, self._lows)]
         self._strides = []
@@ -114,29 +114,71 @@ class KeyIndex:
             self._strides.insert(0, stride)
             stride *= span
         if stride >= _CODE_LIMIT:
-            return False
+            return None
         codes = np.zeros(len(columns[0]), dtype=np.int64)
         for col, lo, step in zip(columns, self._lows, self._strides):
             codes += (col - lo) * step
-        self._order = np.argsort(codes, kind="stable")
-        self._codes = codes[self._order]
-        return True
+        return codes
+
+    def _number(self, keys: Iterable[tuple], fresh: int) -> np.ndarray:
+        """Dict-form codes of ``keys``; unseen keys are numbered from
+        ``fresh`` on, in this index's own (not yet published) dict."""
+        ids = self._ids
+        codes = []
+        for key in keys:
+            code = ids.get(key)
+            if code is None:
+                code = ids[key] = fresh
+                fresh += 1
+            codes.append(code)
+        return np.array(codes, dtype=np.int64)
+
+    def patched(
+        self, base: "Relation", drop: list, tail: "Relation", out: "Relation"
+    ) -> "KeyIndex":
+        """The index of ``out = base.patched(drop, tail)`` from this one
+        (``base``'s).
+
+        The array form re-packs ``out``'s key columns, which were
+        carried — numpy only.  The dict form copies the numbering,
+        numbers ``tail``'s keys and forgets each key whose last row was
+        dropped: Python work on the delta rows only, and every code in
+        the dict stays the code of some row, so new keys can be numbered
+        from the largest code up.
+        """
+        if self._ids is None:
+            return KeyIndex(out)
+        new = object.__new__(KeyIndex)
+        new._ids = dict(self._ids)
+        codes = np.empty(len(self._order), dtype=np.int64)
+        codes[self._order] = self._codes
+        fresh = int(self._codes[-1]) + 1 if len(codes) else 0
+        added = new._number(_key_tuples(tail, base.key), fresh)
+        new._sort(np.concatenate([np.delete(codes, drop), added]))
+        rows, key_of = base.rows, base.key_of
+        for pos in drop:
+            key = key_of(rows[pos])
+            if not len(new.positions(key)):
+                new._ids.pop(key, None)
+        return new
 
     def positions(self, key: tuple) -> Sequence[int]:
         """Every row position holding ``key``, ascending."""
-        if self._dict is not None:
-            got = self._dict.get(key, ())
-            return (got,) if type(got) is int else got
-        if len(key) != len(self._lows):
-            return ()
-        code = 0
-        for value, lo, span, step in zip(
-            key, self._lows, self._spans, self._strides
-        ):
-            value = _exact_int(value)
-            if value is None or not 0 <= value - lo < span:
+        if self._ids is not None:
+            code = self._ids.get(key)
+            if code is None:
                 return ()
-            code += (value - lo) * step
+        else:
+            if len(key) != len(self._lows):
+                return ()
+            code = 0
+            for value, lo, span, step in zip(
+                key, self._lows, self._spans, self._strides
+            ):
+                value = _exact_int(value)
+                if value is None or not 0 <= value - lo < span:
+                    return ()
+                code += (value - lo) * step
         first = int(self._codes.searchsorted(code, "left"))
         last = int(self._codes.searchsorted(code, "right"))
         return self._order[first:last].tolist()
@@ -146,6 +188,11 @@ class KeyIndex:
         in row order would keep), or -1."""
         found = self.positions(key)
         return found[-1] if len(found) else -1
+
+
+def _key_tuples(rel: "Relation", key: Sequence[str]) -> Iterator[tuple]:
+    """``rel``'s rows reduced to their values on the columns ``key``."""
+    return zip(*(rel.column(k) for k in key))
 
 
 class Relation:
@@ -227,20 +274,17 @@ class Relation:
         batch: ColumnarRelation,
         key: Optional[Sequence[str]] = None,
         name: Optional[str] = None,
-        rows: Optional[list] = None,
     ) -> "Relation":
         """A relation backed by a columnar batch; ``.rows`` stays lazy.
 
         The batch-native evaluator's construction path: operators hand
         each other batches, and the row tuples are only built if (and
         when) something reads ``.rows``.  The batch may be shared — its
-        column caches only ever grow, never change.  ``rows`` hands over
-        the batch's row tuples when the caller already holds them (a
-        gather out of a row-backed relation).
+        column caches only ever grow, never change.
         """
         self = object.__new__(cls)
         self.schema = batch.schema
-        self._rows = rows
+        self._rows = None
         if key is not None:
             key = tuple(key)
             for k in key:
@@ -445,7 +489,9 @@ class Relation:
     # ------------------------------------------------------------------
     # Period-to-period succession
     # ------------------------------------------------------------------
-    def patched(self, drop: Iterable[int], tail: "Relation") -> "Relation":
+    def patched(
+        self, drop: Iterable[int], tail: "Relation", index: bool = True
+    ) -> "Relation":
         """This relation without the rows at positions ``drop`` and with
         ``tail``'s rows appended — a new, row-backed relation.
 
@@ -454,9 +500,12 @@ class Relation:
         arrays (:meth:`ColumnarRelation.patched`), every :data:`PER_ROW`
         array of the sample cache that ``tail`` holds too (the caller
         sees to that — ``repro.algebra.evaluator.carry_draws``) and, if
-        there was one, a key index.  Everything handed over is freshly
-        allocated or shared unchanged; nothing reachable from ``self`` is
-        written to, so readers still holding ``self`` are undisturbed.
+        there was one and ``index`` is set, a key index
+        (:meth:`KeyIndex.patched`; a relation nobody will run keyed
+        updates against need not pay for it).  Everything handed over is
+        freshly allocated or shared unchanged; nothing reachable from
+        ``self`` is written to, so readers still holding ``self`` are
+        undisturbed.
         """
         rows = self.rows
         drop = list(drop)
@@ -481,9 +530,10 @@ class Relation:
                     if keep is not None:
                         mine = mine[keep]
                     carried[key] = np.concatenate([mine, extra])
+            mine = self._sample_cache.get(_KEY_INDEX)
+            if index and mine is not None:
+                carried[_KEY_INDEX] = mine.patched(self, drop, tail, out)
             out._sample_cache = carried
-            if _KEY_INDEX in self._sample_cache:
-                carried[_KEY_INDEX] = KeyIndex(out)
         return out
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.core.hashing import hash_sample
 from repro.core.pushdown import PushdownReport, push_down_with_report
 from repro.db.maintenance import MaintenanceStrategy, choose_strategy
 from repro.errors import EstimationError
+from repro.stats.hashing import get_hash_family
 
 
 @dataclass
@@ -138,7 +139,8 @@ class SampleView:
             view.require_data(), ratio, seed=seed, attrs=self.sample_attrs
         )
         self.clean_sample: Optional[Relation] = None
-        #: ``view.state()`` the clean sample was computed from.
+        #: ``(view.state(), η parameters)`` the clean sample was computed
+        #: from and under (see :meth:`advance`).
         self._cleaned_from: Optional[tuple] = None
         self.last_report: Optional[PushdownReport] = None
 
@@ -162,7 +164,7 @@ class SampleView:
             sample_attrs=self.sample_attrs,
         )
         self.last_report = report
-        state = self.view.state()
+        state = (self.view.state(), self._eta())
         result = self._evaluate_cleaning(expr, strategy)
         result.key = self.view.key
         result.name = f"{self.view.name}__sample"
@@ -192,6 +194,11 @@ class SampleView:
             result = compiled_evaluate(expr, self.view.database.leaves())
         return result
 
+    def _eta(self) -> tuple:
+        """Which η this sample view draws right now: the active hash
+        family and the sampling parameters."""
+        return (get_hash_family(), self.ratio, self.seed, self.sample_attrs)
+
     def require_clean(self) -> Relation:
         """The clean sample; raises if :meth:`clean` was never called."""
         if self.clean_sample is None:
@@ -209,14 +216,18 @@ class SampleView:
         next ``refresh()`` finds η(S) already on the view.  The clean
         sample *is* η(S') (hashing is deterministic) whenever the view
         was maintained from exactly the state the sample was cleaned
-        from — same stale rows, same pending deltas; then its key set is
-        adopted and nothing is hashed.  Either way the result is
-        row-identical to ``hash_sample(view.require_data(), ...)``.
+        from — same stale rows, same pending deltas — and η is still the
+        η it was cleaned under (hash family, ratio, seed, attributes);
+        then its key set is adopted and nothing is hashed.  Either way
+        the result is row-identical to
+        ``hash_sample(view.require_data(), ...)``.
         """
         data = self.view.require_data()
         clean, cleaned_from = self.clean_sample, self._cleaned_from
         self.clean_sample = self._cleaned_from = None
-        if clean is not None and cleaned_from == self.view.maintained_from():
+        if clean is not None and cleaned_from == (
+            self.view.maintained_from(), self._eta()
+        ):
             positions = _try_positions(data, clean, self.view.key)
             if positions is not None:
                 eta_sample(

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.algebra.evaluator import columnar_enabled, eta_sample, hash_draw
-from repro.algebra.columnar import rows_at
 from repro.algebra.relation import Relation
 from repro.errors import EstimationError
 from repro.stats.hashing import (
@@ -63,11 +62,8 @@ def hash_sample(
         attrs = rel.key
     idx = rel.schema.indexes(attrs)
     if columnar_enabled() and len(rel):
-        positions, batch = eta_sample(rel, attrs, ratio, seed)
-        # Out of a row-backed relation the sample's rows are its own
-        # tuples; a columnar-backed one keeps them lazy.
-        rows = rows_at(rel.rows, positions) if rel.is_materialized else None
-        return Relation.from_columnar(batch, key=rel.key, name=rel.name, rows=rows)
+        batch = eta_sample(rel, attrs, ratio, seed)
+        return Relation.from_columnar(batch, key=rel.key, name=rel.name)
     rows = [
         row
         for row in rel.rows

@@ -186,7 +186,7 @@ class Database:
             if delta is None or delta.is_empty():
                 out[name] = rel
                 continue
-            out[name] = delta.applied(rel)
+            out[name] = delta.applied(rel, index=False)
         out.update(self._views)
         return out
 

@@ -185,27 +185,29 @@ class Delta:
             )
         return self._del_rel
 
-    def applied(self, base: Relation) -> Relation:
+    def applied(self, base: Relation, index: bool = True) -> Relation:
         """``base`` with the pending changes folded in (a new relation).
 
         Survivors in base order, then the insertions in queue order; a
         pending deletion removes every base row equal to it.  The base
-        is patched, not rebuilt — see the module docstring.
+        is patched, not rebuilt — see the module docstring.  ``index``
+        is :meth:`Relation.patched`'s: whether the key index is handed
+        on as well (``fresh_leaves()``'s throwaway relations skip it).
         """
         drop = []
         if self._del:
             rows = base.rows
-            index = base.key_lookup()
+            lookup = base.key_lookup()
             key_idx = base.key_indexes()
             drop = [
                 pos
                 for row in self._del
-                for pos in index.positions(tuple(row[i] for i in key_idx))
+                for pos in lookup.positions(tuple(row[i] for i in key_idx))
                 if rows[pos] == row
             ]
         tail = self.insertions_relation()
         carry_draws(base, tail)
-        return base.patched(drop, tail)
+        return base.patched(drop, tail, index=index)
 
     def clear(self) -> None:
         """Discard pending changes (after they are folded into the base)."""

@@ -233,6 +233,8 @@ def test_patched_relation_equals_rebuilt(scenario):
                     r for r in new.rows if new.key_of(r) == key]
             for key in set(live) | {tuple(r[:len(key_cols)]) for r in rows}:
                 assert (index.last(key) >= 0) == (key in by_key)
+            if index._ids is not None:  # dict form: no key outlives its rows
+                assert set(index._ids) == set(by_key)
 
             # One η kernel: relation level, evaluator node, both engines.
             for ratio in RATIOS:
@@ -319,6 +321,26 @@ def test_only_columns_asked_for_are_carried_on():
     assert third.array("a").tolist() == [r[1] for r in db.relation(NAME).rows]
 
 
+@pytest.mark.parametrize("leaf_warm", [False, True])
+def test_sample_columns_come_from_the_sampled_rows(leaf_warm):
+    """η out of a row-backed leaf converts a column from the sample's own
+    rows: its dtype does not depend on what the leaf has cached, and the
+    sample never forces a full-column array onto the leaf."""
+    rows = [(i, i) for i in range(200)]
+    draws = draws_by_row(Relation(Schema(["k", "v"]), rows, key=("k",)), ("k",))
+    outside = next(i for i, d in enumerate(draws) if d >= 0.1)
+    rows[outside] = (outside, None)         # makes the leaf's column object
+    rel = Relation(Schema(["k", "v"]), rows, key=("k",), name=NAME)
+    if leaf_warm:
+        assert rel.columnar().array("v").dtype == object
+    sample = hash_sample(rel, 0.1, seed=SEED)
+    assert sample.rows == [r for r, d in zip(rows, draws) if d < 0.1]
+    got = sample.columnar().array("v")
+    assert got.dtype.kind == "i"
+    assert same_array(got, column_to_array([r[1] for r in sample.rows]))
+    assert ("v" in rel.columnar()._arrays) == leaf_warm
+
+
 def test_deletion_removes_every_equal_row_and_only_those():
     """Today's multiplicities: a pending deletion removes every base row
     equal to it; a row that merely shares its key stays."""
@@ -344,7 +366,7 @@ def test_key_index_forms_agree():
                     [(1, 2, "x"), (1, 3, "y"), (5, 2, "z"), (1, 2, "dup")],
                     key=("a", "b"))
     index = ints.key_lookup()
-    assert index._dict is None and ints.key_lookup() is index
+    assert index._ids is None and ints.key_lookup() is index
     assert index.positions((1, 2)) == [0, 3] and index.last((1, 2)) == 3
     assert index.last((1.0, True + 1)) == 3
     for missing in [(1, 4), (0, 2), (9, 9), ("1", 2), (None, 2), (1.5, 2),
@@ -357,10 +379,44 @@ def test_key_index_forms_agree():
         Relation(Schema(["a", "v"]), [], key=("a",)),
     ):
         index = KeyIndex(rel)
-        assert index._dict is not None
+        assert index._ids is not None
         for key, row in rel.key_index().items():
             assert rel.rows[index.last(key)] == row
         assert index.last(("nope",)) == -1
+
+
+def test_dict_form_key_index_is_patched_not_rebuilt(monkeypatch):
+    """A key type the array form cannot pack still costs a period only
+    its deltas: the successor's index is derived from the predecessor's
+    (which stays as it was), and ``fresh_leaves()`` builds none."""
+    db = Database()
+    rows = [(f"k{i}", i) for i in range(50)]
+    db.add_relation(Relation(Schema(["k", "v"]), rows, key=("k",), name=NAME))
+    first = db.relation(NAME).key_lookup()
+    builds = []
+    real_init = KeyIndex.__init__
+    monkeypatch.setattr(
+        KeyIndex, "__init__",
+        lambda self, rel: builds.append(rel) or real_init(self, rel))
+    for period in range(3):
+        old = db.relation(NAME)
+        held = dict(old.key_lookup()._ids)
+        db.delete_by_key(NAME, [(f"k{period}",), (f"k{period + 10}",)])
+        db.update(NAME, [(f"k{period + 20}", -period)])
+        db.insert(NAME, [(f"new{period}", period), (f"k{period}", 100)])
+        fresh = db.fresh_leaves()[NAME]
+        assert "__keyindex__" not in fresh._sample_cache
+        db.apply_deltas()
+        new = db.relation(NAME)
+        index = new._sample_cache["__keyindex__"]
+        assert new.rows == fresh.rows and index is new.key_lookup()
+        assert old.key_lookup()._ids == held
+        by_key = new.key_index()
+        assert set(index._ids) == set(by_key)
+        for key, row in by_key.items():
+            assert [new.rows[p] for p in index.positions(key)] == [row]
+        assert index.last((f"k{period + 10}",)) == -1
+    assert not builds and first._ids == {(f"k{i}",): i for i in range(50)}
 
 
 # ----------------------------------------------------------------------
@@ -427,50 +483,88 @@ def small_join_state(ratio):
     return db, gen, view, cleaner
 
 
-def expected_dirty(view, ratio):
-    return hash_sample(view.require_data(), ratio, seed=SEED,
-                       attrs=SAMPLE_ATTRS)
+def expected_dirty(view, ratio, seed=SEED):
+    """η(S') row by row — nothing the library may have cached."""
+    data = view.require_data()
+    return [r for r, d in zip(data.rows, draws_by_row(data, SAMPLE_ATTRS, seed))
+            if d < ratio]
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
 def test_advance_is_row_identical_to_hash_sample(ratio):
-    db, gen, view, cleaner = small_join_state(ratio)
-    for period in range(6):
-        gen.generate_updates(db, 0.1)
-        cleaned = period != 1          # period 1: never cleaned
-        if cleaned:
-            cleaner.refresh()
-        if period == 2:                # cleaned, then more deltas arrived
-            gen.generate_updates(db, 0.05)
-        before = view.require_data()
-        maintain(view)
-        if period == 3:                # cleaned, but the view was set by hand
-            view.set_data(view.require_data())
-        if period == 4:                # ... or rolled back behind set_data()
-            rolled_back, view.data = view.data, before
-            assert view.maintained_from() is None
-            view.data = rolled_back
-            view.set_data(rolled_back)
-        adopts = cleaned and period not in (2, 3, 4)
-        assert (cleaner.sample_view._cleaned_from == view.maintained_from()
-                and cleaned) == adopts
-        db.apply_deltas()
-        clear_hash_memo()
-        calls = []
-        counting_family(calls)
-        try:
+    calls: list = []
+    counting_family(calls)
+    try:
+        db, gen, view, cleaner = small_join_state(ratio)
+        for period in range(6):
+            gen.generate_updates(db, 0.1)
+            cleaned = period != 1          # period 1: never cleaned
+            if cleaned:
+                cleaner.refresh()
+            if period == 2:                # cleaned, then more deltas arrived
+                gen.generate_updates(db, 0.05)
+            before = view.require_data()
+            maintain(view)
+            if period == 3:                # cleaned, but the view was set by hand
+                view.set_data(view.require_data())
+            if period == 4:                # ... or rolled back behind set_data()
+                rolled_back, view.data = view.data, before
+                assert view.maintained_from() is None
+                view.data = rolled_back
+                view.set_data(rolled_back)
+            adopts = cleaned and period not in (2, 3, 4)
+            db.apply_deltas()
+            clear_hash_memo()
+            del calls[:]
             cleaner.advance()
-        finally:
-            set_hash_family("sha1")
-            stats_hashing.HASH_FAMILIES.pop("counting", None)
-        assert bool(calls) != adopts, "adoption must not hash; the rest must"
-        want = expected_dirty(view, ratio)
-        assert cleaner.dirty_sample.rows == want.rows
-        assert cleaner.dirty_sample.key == want.key
-        assert cleaner.sample_view.clean_sample is None
-        # The next refresh() finds η(S) on the view: same object state.
-        node = Hash(BaseRel(view.name), SAMPLE_ATTRS, ratio, SEED)
-        assert evaluate(node, db.leaves()).rows == want.rows
+            assert bool(calls) != adopts, "adoption must not hash; the rest must"
+            want = expected_dirty(view, ratio)
+            assert cleaner.dirty_sample.rows == want
+            assert cleaner.dirty_sample.key == view.key
+            assert cleaner.sample_view.clean_sample is None
+            # The next refresh() finds η(S) on the view: same object state.
+            node = Hash(BaseRel(view.name), SAMPLE_ATTRS, ratio, SEED)
+            assert evaluate(node, db.leaves()).rows == want
+            assert hash_sample(view.require_data(), ratio, seed=SEED,
+                               attrs=SAMPLE_ATTRS).rows == want
+    finally:
+        set_hash_family("sha1")
+        stats_hashing.HASH_FAMILIES.pop("counting", None)
+
+
+@pytest.mark.parametrize("change", ["family", "ratio", "seed"])
+def test_advance_does_not_adopt_a_sample_cleaned_under_another_eta(change):
+    """refresh() → maintain() with nothing in between would adopt — but
+    the clean sample is η under the family / ratio / seed it was cleaned
+    with, and the new dirty sample must be η as it is drawn *now*."""
+    db, gen, view, cleaner = small_join_state(0.1)
+    sample_view = cleaner.sample_view
+    gen.generate_updates(db, 0.1)
+    cleaner.refresh()
+    maintain(view)
+    db.apply_deltas()
+    try:
+        if change == "family":
+            set_hash_family("linear")
+        elif change == "ratio":
+            sample_view.ratio = 0.3
+        else:
+            sample_view.seed = SEED + 1
+        ratio, seed = sample_view.ratio, sample_view.seed
+        cleaner.advance()
+        want = expected_dirty(view, ratio, seed)
+        assert want and cleaner.dirty_sample.rows == want
+        node = Hash(BaseRel(view.name), SAMPLE_ATTRS, ratio, seed)
+        assert evaluate(node, db.leaves()).rows == want
+        # ... and the period after it cleans against that sample.
+        gen.generate_updates(db, 0.1)
+        cleaner.refresh()
+        maintain(view)
+        assert cleaner.sample_view.clean_sample.rows and sorted(
+            cleaner.sample_view.clean_sample.rows
+        ) == sorted(expected_dirty(view, ratio, seed))
+    finally:
+        set_hash_family("sha1")
 
 
 # ----------------------------------------------------------------------
