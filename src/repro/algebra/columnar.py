@@ -35,6 +35,10 @@ execution backend:
   multi-column keys.  The vectorized hash join builds/probes on these
   codes and the columnar change-table merge matches stale-view rows to
   change rows with them — both share the same fallback triggers.
+* :func:`int_key_radix` / :func:`pack_int_key` — the one mixed-radix
+  packer of machine-integer keys into int64 codes, shared by
+  :class:`~repro.algebra.relation.KeyIndex` and the set operators'
+  candidate search.
 * :func:`patch_column` / :meth:`ColumnarRelation.patched` — how a base
   relation's built columns survive a maintenance period: the successor
   batch is patched from its predecessor's arrays (surviving positions +
@@ -88,8 +92,10 @@ __all__ = [
     "factorize_key_codes",
     "group_ids",
     "grouped_starts",
+    "int_key_radix",
     "object_array",
     "pack_column_buffers",
+    "pack_int_key",
     "patch_column",
     "rows_at",
     "scatter_column",
@@ -226,8 +232,7 @@ class ColumnarRelation:
       multi-operator plan only ever touches the columns it actually
       reads, and only once.
     * **array-backed** — :meth:`from_arrays`: columns handed over as
-      ready numpy arrays (vectorized projection outputs, unpickled
-      shard payloads).
+      ready numpy arrays (unpickled shard payloads, attached buffers).
 
     Construction is O(1) in all three cases; columns are cached after
     first materialization.  Batches may be shared between relations and
@@ -254,13 +259,19 @@ class ColumnarRelation:
             self._nrows = 0
 
     @classmethod
-    def from_rows(cls, schema, rows: list) -> "ColumnarRelation":
+    def from_rows(
+        cls, schema, rows: list,
+        providers: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
+    ) -> "ColumnarRelation":
         """A row-backed batch over a list of row tuples (shared, not
-        copied); each column is converted from them on first access."""
+        copied); each column is converted from them on first access,
+        except those ``providers`` hand over ready (arrays equal to that
+        conversion, built from what the caller already holds)."""
         self = cls()
         self.schema = schema
         self._rows = rows
         self._nrows = len(rows)
+        self._providers = providers or None
         return self
 
     @classmethod
@@ -352,13 +363,20 @@ class ColumnarRelation:
         """
         col = self._pycols.get(name)
         if col is None:
-            if self._rows is not None:
-                i = self.schema.index(name)
-                col = [row[i] for row in self._rows]
-            else:
-                col = self.array(name).tolist()
-            self._pycols[name] = col
+            col = self._pycols[name] = self.pyvalues(name)
         return col
+
+    def pyvalues(self, name: str) -> list:
+        """One column as Python values, like :meth:`pycolumn`, but not
+        kept: for a caller that reads them once (an opaque function's
+        arguments, a key-set probe's tuples)."""
+        col = self._pycols.get(name)
+        if col is not None:
+            return col
+        if self._rows is not None:
+            i = self.schema.index(name)
+            return [row[i] for row in self._rows]
+        return self.array(name).tolist()
 
     def array(self, name: str) -> np.ndarray:
         """One column as a numpy array (cached; object dtype fallback).
@@ -431,25 +449,6 @@ class ColumnarRelation:
         providers = {name: gather(name) for name in self.schema.columns}
         return ColumnarRelation.from_providers(self.schema, providers, len(idx))
 
-    def select_as(self, pairs: Sequence[tuple]) -> "ColumnarRelation":
-        """A batch renaming/reordering columns: ``(out_name, src_name)``.
-
-        Pass-through projection and rename chain through this — the
-        underlying arrays are shared with the source batch, so a Π that
-        drops or renames columns costs nothing until a column is read.
-        """
-        from repro.algebra.schema import Schema
-
-        def alias(src):
-            def build():
-                return self.array(src)
-
-            return build
-
-        providers = {out: alias(src) for out, src in pairs}
-        schema = Schema([out for out, _ in pairs])
-        return ColumnarRelation.from_providers(schema, providers, self._nrows)
-
     def patched(self, rows: list, keep, tail: "ColumnarRelation"):
         """The row-backed batch of a relation patched from this one.
 
@@ -463,7 +462,6 @@ class ColumnarRelation:
         maintenance plans, not every column ever converted.  Columns
         never built (or dropped by the dtype rule) stay lazy.
         """
-        out = ColumnarRelation.from_rows(self.schema, rows)
         providers = {}
         for name, base in list(self._arrays.items()):
             arr = patch_column(
@@ -471,8 +469,7 @@ class ColumnarRelation:
             )
             if arr is not None:
                 providers[name] = lambda arr=arr: arr
-        out._providers = providers or None
-        return out
+        return ColumnarRelation.from_rows(self.schema, rows, providers)
 
     def materialize_rows(self) -> list:
         """The batch as a list of row tuples (the evaluator-boundary
@@ -621,6 +618,54 @@ def factorize_key_codes(abatch, bbatch, acols, bcols):
         inv = code_cols[0]
     n_keys = int(inv.max()) + 1 if len(inv) else 0
     return inv[:na], inv[na:], n_keys
+
+
+#: Packed key codes must stay clear of int64 overflow.
+_CODE_LIMIT = 1 << 62
+
+
+def int_key_radix(*sides) -> Optional[tuple]:
+    """The mixed-radix layout ``(lows, spans, strides)`` that packs the
+    machine-integer key columns of every side into one int64 code, or
+    None.
+
+    Each side is a list of key column arrays, aligned by position; one
+    layout covers them all, so equal codes across sides mean equal keys.
+    None when a column with rows is not an int64 array (bool, float,
+    object, …), when no side has rows, or when the packed range would
+    reach 2⁶².
+    """
+    if not sides[0]:
+        return None
+    lows, spans = [], []
+    for pos in range(len(sides[0])):
+        parts = [side[pos] for side in sides if len(side[pos])]
+        if not parts or any(p.dtype.kind != "i" for p in parts):
+            return None
+        lo = min(int(p.min()) for p in parts)
+        lows.append(lo)
+        spans.append(max(int(p.max()) for p in parts) - lo + 1)
+    strides = []
+    stride = 1
+    for span in reversed(spans):
+        strides.insert(0, stride)
+        stride *= span
+    if stride >= _CODE_LIMIT:
+        return None
+    return lows, spans, strides
+
+
+def pack_int_key(columns, radix: tuple) -> np.ndarray:
+    """The int64 codes of one side's key ``columns`` under ``radix``
+    (:func:`int_key_radix`): the first column is the most significant
+    digit, so codes sort like the key tuples."""
+    lows, _, strides = radix
+    codes = np.zeros(len(columns[0]), dtype=np.int64)
+    if not len(codes):
+        return codes  # an empty column's dtype says nothing
+    for col, lo, step in zip(columns, lows, strides):
+        codes += (col - lo) * step
+    return codes
 
 
 def object_array(values: Sequence) -> np.ndarray:

@@ -17,13 +17,6 @@ longer re-walks the strategy tree operator by operator:
   :class:`_ChainStage`: the selection masks are combined and applied as
   a single gather over the input batch and projections ride the same
   batch, so no intermediate relation is ever assembled.
-* **Disjoint-union fusion.**  ``Union`` deduplicates right rows against
-  the left side.  When a compile-time value-domain analysis
-  (:func:`_const_domain`) proves some column takes disjoint constant
-  values on the two sides — the shape of every change-table union, whose
-  branches carry distinct ``__mult__``/``__term__`` literals — the
-  result is exactly the concatenation, and the stage emits lazy
-  per-column concat providers instead of hashing row tuples.
 * **Reference fallback per stage.**  Every fused stage wraps its fast
   body in the same contract as the interpreter's columnar paths: any
   failure demotes *that stage* to :func:`repro.algebra.evaluator._eval`
@@ -34,7 +27,8 @@ longer re-walks the strategy tree operator by operator:
   interpreter's operator implementation — columnar fast paths, leaf
   sample caches and row fallbacks included — so compiled execution is
   value-identical to :func:`repro.algebra.evaluator.evaluate` by
-  construction.
+  construction.  That includes the disjoint-union concatenation, which
+  lives in the evaluator so interpreted plans take it too.
 
 Plans are cached and invalidated, never mutated:
 
@@ -58,7 +52,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.algebra import evaluator as _ev
-from repro.algebra.columnar import ColumnarRelation, concat_columns
 from repro.algebra.expressions import (
     Aggregate,
     BaseRel,
@@ -72,7 +65,7 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.keys import derive_key, derive_schema
+from repro.algebra.keys import derive_key
 from repro.algebra.predicates import (
     And,
     Between,
@@ -88,7 +81,6 @@ from repro.algebra.predicates import (
     Tup,
 )
 from repro.algebra.relation import Relation
-from repro.algebra.schema import Schema
 from repro.caches import invalidate_caches, register_cache
 from repro.errors import KeyDerivationError
 
@@ -286,90 +278,6 @@ def leaf_signature(expr: Expr, leaves: Mapping) -> tuple:
     return tuple(sig)
 
 
-# ----------------------------------------------------------------------
-# Compile-time value-domain analysis (union disjointness proof)
-# ----------------------------------------------------------------------
-def _const_domain(expr: Expr, name: str, leaves: Mapping) -> Optional[tuple]:
-    """The provably constant values column ``name`` can take, or None.
-
-    Only constants introduced by projections are traced (through σ, η,
-    unions and join sides); anything else is "unknown" and blocks the
-    disjointness proof.  The returned tuple may repeat values.
-    """
-    if isinstance(expr, Project):
-        for o in expr.outputs:
-            if o.name == name:
-                if isinstance(o.term, Const):
-                    return (o.term.value,)
-                if isinstance(o.term, Col):
-                    return _const_domain(expr.child, o.term.name, leaves)
-                return None
-        return None
-    if isinstance(expr, (Select, Hash)):
-        return _const_domain(expr.children()[0], name, leaves)
-    if isinstance(expr, Union):
-        left = _const_domain(expr.left, name, leaves)
-        if left is None:
-            return None
-        right = _const_domain(expr.right, name, leaves)
-        if right is None:
-            return None
-        return left + right
-    if isinstance(expr, Join):
-        try:
-            left_schema = derive_schema(expr.left, leaves)
-        except Exception:
-            return None
-        if name in left_schema:
-            return _const_domain(expr.left, name, leaves)
-        return _const_domain(expr.right, name, leaves)
-    return None
-
-
-def _domains_disjoint(left: tuple, right: tuple) -> bool:
-    """True when no value pair across the two domains compares equal.
-
-    Comparison is by ``==`` (the row path deduplicates through tuple
-    equality, under which ``1 == True == 1.0``), so mixed-type literals
-    only count as disjoint when they are unequal under Python equality.
-    """
-    for a in left:
-        for b in right:
-            try:
-                if bool(a == b):
-                    return False
-            except Exception:
-                return False
-    return True
-
-
-def _union_fusable(expr: Union, leaves: Mapping) -> bool:
-    """True when the two union sides are provably row-disjoint.
-
-    If some column carries disjoint constant-value domains on the two
-    sides, no left row can equal a right row, so the reference
-    semantics — left rows, then right rows not seen on the left (right-
-    internal duplicates kept) — reduce to plain concatenation.
-    """
-    try:
-        ls = derive_schema(expr.left, leaves)
-        rs = derive_schema(expr.right, leaves)
-    except Exception:
-        return False
-    if ls != rs:
-        return False
-    for name in ls.columns:
-        left = _const_domain(expr.left, name, leaves)
-        if left is None:
-            continue
-        right = _const_domain(expr.right, name, leaves)
-        if right is None:
-            continue
-        if _domains_disjoint(left, right):
-            return True
-    return False
-
-
 def _is_indexed_membership(expr: Select) -> bool:
     """The σ_{col ∈ K}(BaseRel) shape served by the leaf value index.
 
@@ -443,8 +351,8 @@ class _ChainStage(_Stage):
 
     ``ops`` lists the chain bottom-up: ``("select", [predicates])``
     entries combine consecutive selection masks into one gather,
-    ``("project", node)`` entries pass columns through (or compute them
-    vectorized) on the same batch.  Combined masks are evaluated over
+    ``("project", node)`` entries are the interpreter's column-lazy Π
+    over the same batch.  Combined masks are evaluated over
     the *unfiltered* input — safe because a vectorized predicate that
     succeeds on a superset of rows yields identical per-row values on
     the subset — and any failure anywhere demotes the whole stage to the
@@ -488,84 +396,10 @@ class _ChainStage(_Stage):
                     batch = rel.columnar().take(np.flatnonzero(combined))
                     rel = Relation.from_columnar(batch)
                 else:
-                    node = payload
-                    if not len(rel) or not node.outputs:
+                    rel = _ev._try_project(payload, rel)
+                    if rel is None:
                         return None
-                    if all(o.is_passthrough for o in node.outputs):
-                        sources = [o.source_column() for o in node.outputs]
-                        rel.schema.indexes(sources)
-                        batch = rel.columnar().select_as(
-                            [
-                                (o.name, src)
-                                for o, src in zip(node.outputs, sources)
-                            ]
-                        )
-                        rel = Relation.from_columnar(batch)
-                        continue
-                    arrays = _ev._try_project_vectors(node, rel)
-                    if arrays is None:
-                        return None
-                    schema = Schema([o.name for o in node.outputs])
-                    rel = Relation.from_columnar(
-                        ColumnarRelation.from_arrays(schema, arrays, len(rel))
-                    )
             return rel
-        except Exception:
-            return None
-
-
-class _UnionStage(_Stage):
-    """A fused disjoint union: lazy per-column concatenation.
-
-    Only compiled when :func:`_union_fusable` proved at compile time
-    that no left row can equal a right row; the reference row semantics
-    (left order, then right order, right-internal duplicates kept) are
-    then exactly the concatenation.  Schema equality is still checked at
-    run time — on mismatch the interpreter fallback raises the reference
-    ``SchemaError``.
-    """
-
-    __slots__ = ("left_slot", "right_slot")
-    kind = "union"
-
-    def __init__(self, expr: Union, left_slot: int, right_slot: int):
-        super().__init__(expr)
-        self.left_slot = left_slot
-        self.right_slot = right_slot
-
-    def run(self, leaves, materialized):
-        left = materialized[self.left_slot]
-        right = materialized[self.right_slot]
-        if _ev.columnar_enabled():
-            out = self._fused(left, right)
-            if out is not None:
-                return out
-        memo = {id(self.expr.left): left, id(self.expr.right): right}
-        return _ev._eval(self.expr, leaves, memo)
-
-    def _fused(self, left: Relation, right: Relation) -> Optional[Relation]:
-        try:
-            if left.schema != right.schema:
-                return None
-            if not len(right):
-                if left.is_materialized:
-                    return Relation.trusted(left.schema, list(left.rows))
-                return Relation.from_columnar(left.columnar())
-            lbatch = left.columnar()
-            rbatch = right.columnar()
-            schema = left.schema
-            nrows = len(left) + len(right)
-
-            def concat(name):
-                def build():
-                    return concat_columns(lbatch.array(name), rbatch.array(name))
-
-                return build
-
-            batch = ColumnarRelation.from_providers(
-                schema, {c: concat(c) for c in schema.columns}, nrows
-            )
-            return Relation.from_columnar(batch)
         except Exception:
             return None
 
@@ -607,8 +441,8 @@ class CompiledPlan:
         return rel
 
     def stage_kinds(self) -> List[str]:
-        """Stage kinds in execution order (``leaf``/``node``/``chain``/
-        ``union``) — lets tests assert which fusions fired."""
+        """Stage kinds in execution order (``leaf``/``node``/``chain``)
+        — lets tests assert which fusions fired."""
         return [stage.kind for stage in self.stages]
 
     def __repr__(self):
@@ -696,10 +530,6 @@ def compile_plan(expr: Expr, leaves: Mapping) -> CompiledPlan:
         elif columnar and chain_absorbs(node):
             ops, bottom = collect_chain(node)
             stage = _ChainStage(node, ops, bottom, compile_node(bottom))
-        elif columnar and isinstance(node, Union) and _union_fusable(node, leaves):
-            left_slot = compile_node(node.left)
-            right_slot = compile_node(node.right)
-            stage = _UnionStage(node, left_slot, right_slot)
         else:
             inputs = [(child, compile_node(child)) for child in node.children()]
             stage = _NodeStage(node, inputs)

@@ -8,8 +8,9 @@ Every operator has a reference row-at-a-time implementation that defines
 the semantics.  The hot operators additionally have *columnar* fast
 paths which exchange :class:`~repro.algebra.columnar.ColumnarRelation`
 batches end-to-end: σ and η outputs are index gathers over their child's
-batch, Π passes column arrays through (or computes them vectorized),
-equality ⋈ runs a vectorized hash join (key factorization via
+batch, Π aliases its child's columns (computing only other terms, opaque
+functions included), ∪ / ∩ / − compare only the rows their inputs can
+share, equality ⋈ runs a vectorized hash join (key factorization via
 ``np.unique`` integer codes, grouped build offsets, fancy-indexed output
 gathers), and γ reduces grouped columns ``reduceat``-style.  Row tuples
 are only rebuilt at the evaluator boundary, when a consumer reads
@@ -51,6 +52,14 @@ Implementation notes
 * Shared subtree objects are evaluated once per :func:`evaluate` call
   (maintenance strategies deliberately share the fresh-version subtrees
   across change-table terms).
+* Set operators keep the row path's set semantics (hash, then identity
+  or ``==``).  A ∪ of provably disjoint sides (distinct constant tags) is
+  a concatenation; otherwise candidate row pairs share the left input's
+  derived key, packed to int64 codes by the key index's packer, and
+  whole rows are compared on those pairs alone.  Non-integer or repeated
+  left keys, and NaNs a column batch can no longer tell apart, fall back
+  to the row operators.  Outputs over row tuples stay row-backed, like
+  an η sample of a base relation (see ``docs/columnar.md``).
 * :class:`Merge` implements the change-table merge: a full outer equality
   join on the view key followed by per-column combination, with emptied
   groups (support count driven to zero or below) removed — exactly the
@@ -65,6 +74,7 @@ Implementation notes
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -74,10 +84,13 @@ from repro.algebra.columnar import (
     ColumnarRelation,
     as_object_array,
     column_to_array,
+    concat_column_parts,
     concat_columns,
     factorize_key_codes,
     group_ids,
     grouped_starts,
+    int_key_radix,
+    pack_int_key,
     rows_at,
     scatter_column,
 )
@@ -94,11 +107,12 @@ from repro.algebra.expressions import (
     Select,
     Union,
 )
-from repro.algebra.keys import derive_key
+from repro.algebra.keys import derive_key, derive_schema
 from repro.algebra.predicates import (
     _FLOAT_EXACT,
     _INT64_SAFE,
     Col,
+    Const,
     Tup,
     _int_bound,
 )
@@ -333,19 +347,10 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
     if isinstance(expr, Project):
         child = _eval(expr.child, leaves, memo)
         schema = Schema([o.name for o in expr.outputs])
-        if _COLUMNAR[0] and len(child) and expr.outputs:
-            if all(o.is_passthrough for o in expr.outputs):
-                sources = [o.source_column() for o in expr.outputs]
-                child.schema.indexes(sources)  # surface unknown columns now
-                batch = child.columnar().select_as(
-                    [(o.name, src) for o, src in zip(expr.outputs, sources)]
-                )
-                return Relation.from_columnar(batch)
-            arrays = _try_project_vectors(expr, child)
-            if arrays is not None:
-                return Relation.from_columnar(
-                    ColumnarRelation.from_arrays(schema, arrays, len(child))
-                )
+        if _COLUMNAR[0]:
+            fast = _try_project(expr, child)
+            if fast is not None:
+                return fast
         fns = [o.term.bind(child.schema) for o in expr.outputs]
         rows = [tuple(fn(row) for fn in fns) for row in child.rows]
         return Relation(schema, rows)
@@ -353,25 +358,13 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
         return _eval_join(expr, leaves, memo)
     if isinstance(expr, Aggregate):
         return _eval_aggregate(expr, leaves, memo)
-    if isinstance(expr, Union):
+    if isinstance(expr, (Union, Intersect, Difference)):
         left, right = _eval_setop_inputs(expr, leaves, memo)
-        if not len(right):
-            return Relation.trusted(left.schema, list(left.rows))
-        seen = set(left.rows)
-        rows = list(left.rows) + [r for r in right.rows if r not in seen]
-        return Relation.trusted(left.schema, rows)
-    if isinstance(expr, Intersect):
-        left, right = _eval_setop_inputs(expr, leaves, memo)
-        rset = set(right.rows)
-        rows = [r for r in dict.fromkeys(left.rows) if r in rset]
-        return Relation.trusted(left.schema, rows)
-    if isinstance(expr, Difference):
-        left, right = _eval_setop_inputs(expr, leaves, memo)
-        if not len(right):
-            return Relation.trusted(left.schema, list(left.rows))
-        rset = set(right.rows)
-        rows = [r for r in dict.fromkeys(left.rows) if r not in rset]
-        return Relation.trusted(left.schema, rows)
+        if _COLUMNAR[0]:
+            fast = _try_setop(expr, left, right, leaves)
+            if fast is not None:
+                return fast
+        return _setop_rows(expr, left, right)
     if isinstance(expr, Hash):
         # Draws and samples of named leaves are cached on the leaf
         # relation — the in-memory analogue of a hash index over the
@@ -465,30 +458,43 @@ def _try_mask(predicate, relation):
     return mask
 
 
-def _try_project_vectors(expr: Project, child: Relation):
-    """Vectorized generalized projection: one value array per output.
+def _try_project(expr: Project, child: Relation):
+    """Column-lazy generalized Π as a provider-backed batch, or None to
+    fall back to the row loop.
 
-    Returns ``{name: array}`` covering every output, or None to fall
-    back.  Mirrors the mask contract: float divide/invalid raise instead
-    of flowing inf/nan into projected values, and any failure defers to
-    the row loop (which produces the reference result or error).
+    A ``Col`` output aliases the child's column and a row-independent
+    output (a scalar ``Const``) is a constant column built on demand, so
+    the Π converts only the columns something downstream reads.  Every
+    other output is computed here, under the mask contract: float
+    divide/invalid raise instead of flowing inf/nan into projected
+    values, and any failure defers to the row loop (which produces the
+    reference result or error).
     """
-    cols = child.columnar()
     n = len(child)
-    arrays = {}
+    if not n or not expr.outputs:
+        return None
+    cols = child.columnar()
+    providers = {}
     try:
         with np.errstate(divide="raise", invalid="raise"):
             for o in expr.outputs:
+                if isinstance(o.term, Col):
+                    child.schema.index(o.term.name)
+                    providers[o.name] = lambda src=o.term.name: cols.array(src)
+                    continue
                 val = o.term.vector(cols)
                 if isinstance(val, np.ndarray) and val.ndim == 1:
                     if len(val) != n:
                         return None
-                    arrays[o.name] = val
+                    providers[o.name] = lambda val=val: val
                 else:
-                    arrays[o.name] = _const_column(val, n)
+                    providers[o.name] = lambda val=val: _const_column(val, n)
     except Exception:
         return None
-    return arrays
+    schema = Schema([o.name for o in expr.outputs])
+    return Relation.from_columnar(
+        ColumnarRelation.from_providers(schema, providers, n)
+    )
 
 
 def _const_column(value, n: int) -> np.ndarray:
@@ -524,6 +530,284 @@ def _eval_setop_inputs(expr, leaves, memo):
             f"{left.schema!r} vs {right.schema!r}"
         )
     return left, right
+
+
+# ----------------------------------------------------------------------
+# Set operators
+# ----------------------------------------------------------------------
+def _setop_rows(expr, left, right) -> Relation:
+    """Reference row-at-a-time ∪ / ∩ / − over whole row tuples (Python
+    set membership; ∩ and − also drop repeated left rows)."""
+    if isinstance(expr, Union):
+        if not len(right):
+            return Relation.trusted(left.schema, list(left.rows))
+        seen = set(left.rows)
+        rows = list(left.rows) + [r for r in right.rows if r not in seen]
+        return Relation.trusted(left.schema, rows)
+    if isinstance(expr, Intersect):
+        rset = set(right.rows)
+        rows = [r for r in dict.fromkeys(left.rows) if r in rset]
+        return Relation.trusted(left.schema, rows)
+    if not len(right):
+        return Relation.trusted(left.schema, list(left.rows))
+    rset = set(right.rows)
+    rows = [r for r in dict.fromkeys(left.rows) if r not in rset]
+    return Relation.trusted(left.schema, rows)
+
+
+def _try_setop(expr, left, right, leaves):
+    """Columnar ∪ / ∩ / −, or None to fall back to the row path.
+
+    The row path hashes every row tuple of both inputs.  Here a ∪ whose
+    sides :func:`_union_disjoint` proves disjoint is a concatenation,
+    with no probe at all; otherwise the rows the two sides share are
+    found by :func:`_try_key_matches` — candidate pairs by the left
+    input's derived key, whole-row equality on those pairs only — and
+    the output is the left rows minus (−) or restricted to (∩) the
+    matched ones, or the left rows followed by the unmatched right rows
+    (∪), in the row path's order.
+    """
+    if not len(right) and not isinstance(expr, Intersect):
+        return _same_rows(left)
+    if isinstance(expr, Union) and _union_disjoint(expr, left.schema, leaves):
+        return _concat_rows(left, right, None)
+    try:
+        key = derive_key(expr.left, leaves)
+    except (KeyDerivationError, SchemaError):
+        return None
+    matched = _try_key_matches(left, right, key)
+    if matched is None:
+        return None
+    lhit, rhit, lkeys, rkeys = matched
+    if isinstance(expr, Union):
+        kept = np.flatnonzero(~rhit)
+        return _concat_rows(left, right, kept, key, lkeys, rkeys)
+    keep = lhit if isinstance(expr, Intersect) else ~lhit
+    return _pick_rows(left, np.flatnonzero(keep), key, lkeys)
+
+
+def _try_key_matches(left, right, key):
+    """Which rows of each side equal a row of the other, or None.
+
+    Candidate pairs share ``key``: machine-integer key columns pack
+    into int64 codes (:func:`~repro.algebra.columnar.pack_int_key`, the
+    key index's packer), the left codes are sorted once and every right
+    code is looked up in them.  The left codes must be unique — then a
+    right row has at most one candidate, and the left rows are distinct,
+    so ∩ / − need no deduplication — and any other key (object, bool,
+    float, string, mixed kinds, or a range past the packer's) falls
+    back.  Whole-row equality is then checked on the candidate pairs
+    alone, as the row path checks it (:func:`_try_rows_at`).  Returns
+    ``(left hits, right hits, left key arrays, right key arrays)``.
+    """
+    try:
+        lkeys = left.columnar().arrays(key)
+        rkeys = right.columnar().arrays(key)
+        radix = int_key_radix(lkeys, rkeys)
+        if radix is None:
+            return None
+        lcodes = pack_int_key(lkeys, radix)
+        order = np.argsort(lcodes)
+        ordered = lcodes[order]
+        if bool((ordered[1:] == ordered[:-1]).any()):
+            return None
+        lhit = np.zeros(len(left), dtype=bool)
+        rhit = np.zeros(len(right), dtype=bool)
+        if len(left):
+            rcodes = pack_int_key(rkeys, radix)
+            at = np.minimum(np.searchsorted(ordered, rcodes), len(ordered) - 1)
+            cand = np.flatnonzero(ordered[at] == rcodes)
+            lpos = order[at[cand]]
+            lrows = _try_rows_at(left, lpos)
+            rrows = _try_rows_at(right, cand)
+            if lrows is None or rrows is None:
+                return None
+            equal = np.fromiter(
+                map(operator.eq, lrows, rrows), dtype=bool, count=len(cand)
+            )
+            lhit[lpos[equal]] = True
+            rhit[cand[equal]] = True
+    except Exception:
+        # An exotic value whose == raises: the row path raises it too,
+        # or decides by hash first — either way it is the reference.
+        return None
+    return lhit, rhit, lkeys, rkeys
+
+
+def _try_rows_at(rel, positions):
+    """``rel``'s rows at ``positions``, as the tuples the row path's set
+    membership compares, or None.
+
+    Row tuples a relation holds are used as they are.  Tuples rebuilt
+    from typed arrays hold fresh Python values, which compare like the
+    originals except for NaN: row-wise a NaN equals only the very same
+    object, and the array no longer says which object that was — so a
+    NaN in a typed float column falls back.
+    """
+    batch = rel.columnar()
+    if rel.is_materialized or batch.row_backed:
+        return rows_at(rel.rows, positions)
+    columns = []
+    for name in rel.schema.columns:
+        part = batch.array(name)[positions]
+        if part.dtype.kind == "f" and bool(np.isnan(part).any()):
+            return None
+        columns.append(part.tolist())
+    return list(zip(*columns))
+
+
+def _row_backed(schema, rows: list, providers=None) -> Relation:
+    """A relation over ``rows`` whose batch converts its columns from
+    them, apart from the ready ``providers``."""
+    out = Relation.trusted(schema, rows)
+    out._columnar = ColumnarRelation.from_rows(schema, rows, providers)
+    return out
+
+
+def _same_rows(rel: Relation) -> Relation:
+    """A new relation sharing ``rel``'s rows and batch."""
+    if rel.is_materialized:
+        out = Relation.trusted(rel.schema, rel.rows)
+        out._columnar = rel.columnar()
+        return out
+    return Relation.from_columnar(rel.columnar())
+
+
+def _pick_rows(rel, positions, key, key_arrays) -> Relation:
+    """``rel``'s rows at ``positions``.
+
+    How the output looks follows how ``rel``'s batch was built, never
+    what it has cached — the rule of :func:`eta_sample`.  Over row
+    tuples (a base relation, or a set-op output over one) the output
+    picks the tuples and converts a column from them when read, so no
+    full-column array of the input is built for a column only the
+    output needs; its key columns come gathered from the arrays the
+    candidate search already read.  Over columns it is a ``take``.
+    """
+    batch = rel.columnar()
+    if not batch.row_backed:
+        return Relation.from_columnar(batch.take(positions))
+    providers = None
+    if len(positions):
+        providers = {
+            k: (lambda arr=arr: arr[positions]) for k, arr in zip(key, key_arrays)
+        }
+    return _row_backed(rel.schema, rows_at(rel.rows, positions), providers)
+
+
+def _concat_rows(left, right, kept, key=(), lkeys=(), rkeys=()) -> Relation:
+    """``left``'s rows followed by ``right``'s at ``kept`` (None: all).
+
+    Over two row-backed inputs the output concatenates the row lists
+    (key columns, when given, as concatenated key arrays); otherwise
+    every column is one concatenation of the two sides' arrays, built
+    when read.  Empty parts are skipped so a column keeps its dtype.
+    """
+    lbatch, rbatch = left.columnar(), right.columnar()
+    n = len(left) + (len(right) if kept is None else len(kept))
+
+    def concat(head, tail):
+        """One output column: ``head`` then ``tail`` at ``kept``."""
+        if kept is not None:
+            tail = tail[kept]
+        parts = [p for p in (head, tail) if len(p)]
+        return concat_column_parts(parts) if parts else head
+
+    if lbatch.row_backed and rbatch.row_backed:
+        tail = right.rows if kept is None else rows_at(right.rows, kept)
+        providers = None
+        if n:
+            providers = {
+                k: (lambda la=la, ra=ra: concat(la, ra))
+                for k, la, ra in zip(key, lkeys, rkeys)
+            }
+        return _row_backed(left.schema, left.rows + tail, providers)
+    providers = {
+        name: (lambda name=name: concat(lbatch.array(name), rbatch.array(name)))
+        for name in left.schema.columns
+    }
+    return Relation.from_columnar(
+        ColumnarRelation.from_providers(left.schema, providers, n)
+    )
+
+
+def _const_domain(expr: Expr, name: str, leaves, schemas: dict):
+    """The provably constant values column ``name`` can take, or None.
+
+    Only constants introduced by projections are traced (through σ, η,
+    unions and join sides); anything else is "unknown" and blocks the
+    disjointness proof.  The returned tuple may repeat values.
+    ``schemas`` memoizes join input schemas for one proof.
+    """
+    if isinstance(expr, Project):
+        for o in expr.outputs:
+            if o.name == name:
+                if isinstance(o.term, Const):
+                    return (o.term.value,)
+                if isinstance(o.term, Col):
+                    return _const_domain(expr.child, o.term.name, leaves, schemas)
+                return None
+        return None
+    if isinstance(expr, (Select, Hash)):
+        return _const_domain(expr.children()[0], name, leaves, schemas)
+    if isinstance(expr, Union):
+        left = _const_domain(expr.left, name, leaves, schemas)
+        if left is None:
+            return None
+        right = _const_domain(expr.right, name, leaves, schemas)
+        if right is None:
+            return None
+        return left + right
+    if isinstance(expr, Join):
+        left_schema = schemas.get(id(expr))
+        if left_schema is None:
+            try:
+                left_schema = derive_schema(expr.left, leaves)
+            except Exception:
+                return None
+            schemas[id(expr)] = left_schema
+        side = expr.left if name in left_schema else expr.right
+        return _const_domain(side, name, leaves, schemas)
+    return None
+
+
+def _domains_disjoint(left: tuple, right: tuple) -> bool:
+    """True when no value pair across the two domains compares equal.
+
+    Comparison is by ``==`` (the row path deduplicates through tuple
+    equality, under which ``1 == True == 1.0``), so mixed-type literals
+    only count as disjoint when they are unequal under Python equality.
+    """
+    for a in left:
+        for b in right:
+            try:
+                if bool(a == b):
+                    return False
+            except Exception:
+                return False
+    return True
+
+
+def _union_disjoint(expr: Union, schema: Schema, leaves) -> bool:
+    """True when the two sides of ``expr`` (both of ``schema``) are
+    provably row-disjoint.
+
+    If some column carries disjoint constant-value domains on the two
+    sides — the shape of every change-table union, whose branches carry
+    distinct ``__mult__`` / ``__term__`` literals — no left row can
+    equal a right row, so the reference semantics (left rows, then right
+    rows not seen on the left, right-internal duplicates kept) reduce to
+    plain concatenation.
+    """
+    schemas: dict = {}
+    for name in schema.columns:
+        left = _const_domain(expr.left, name, leaves, schemas)
+        if left is None:
+            continue
+        right = _const_domain(expr.right, name, leaves, schemas)
+        if right is not None and _domains_disjoint(left, right):
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,10 @@ Terms additionally support *columnar* evaluation: :meth:`Term.vector`
 computes the term over every row at once against a
 :class:`~repro.algebra.columnar.ColumnarRelation`, and
 :meth:`Predicate.mask` turns a predicate into a boolean selection mask.
-Terms with no vectorized form (opaque :class:`Func`, :class:`Tup`) raise
+An opaque :class:`Func` is mapped over the Python values of the columns
+its arguments read; whatever it raises, the evaluator catches, and the
+row path then raises the reference error.  A :class:`Tup` has a vector
+form only as an :class:`IsIn` key-set probe; elsewhere it raises
 :class:`~repro.errors.VectorizationError`, which the evaluator catches to
 fall back to the row path — so the columnar path never changes results.
 
@@ -234,6 +237,21 @@ def _coerce(value) -> "Term":
     return value if isinstance(value, Term) else Const(value)
 
 
+def _py_values(term: "Term", cols) -> list:
+    """``term`` over every row of ``cols`` as Python values — the values
+    a bound row function sees.  A column is read through ``pyvalues``
+    (the row tuples' own objects where the batch has them) and a
+    constant is repeated; any other term is vectorized."""
+    if isinstance(term, Col):
+        return cols.pyvalues(term.name)
+    if isinstance(term, Const):
+        return [term.value] * cols.nrows
+    val = term.vector(cols)
+    if isinstance(val, np.ndarray) and val.ndim == 1:
+        return val.tolist()
+    return [val] * cols.nrows
+
+
 class Col(Term):
     """A reference to a column by name."""
 
@@ -343,6 +361,19 @@ class Func(Term):
         fn = self.fn
         bound = [a.bind(schema) for a in self.args]
         return lambda row: fn(*(b(row) for b in bound))
+
+    def vector(self, cols):
+        """``fn`` mapped over the Python values of its arguments, in row
+        order, as a :func:`~repro.algebra.columnar.column_to_array`
+        column.  Only the columns the arguments read are touched; an
+        exception from ``fn`` propagates, and the evaluator's row loop
+        then raises the reference error."""
+        from repro.algebra.columnar import column_to_array
+
+        args = [_py_values(a, cols) for a in self.args]
+        if not args:
+            return column_to_array([self.fn() for _ in range(cols.nrows)])
+        return column_to_array(list(map(self.fn, *args)))
 
     def __repr__(self):
         return f"{self.label}({', '.join(map(repr, self.args))})"
@@ -536,8 +567,14 @@ class IsIn(Predicate):
         return lambda row: f(row) in vals
 
     def vector(self, cols):
-        arr = self.term.vector(cols)
         vals = self.values
+        if isinstance(self.term, Tup):
+            # A multi-attribute key set: the row path's tuples, built
+            # from the component columns alone.
+            keys = zip(*(_py_values(t, cols) for t in self.term.terms))
+            return np.fromiter((k in vals for k in keys), dtype=bool,
+                               count=cols.nrows)
+        arr = self.term.vector(cols)
         if np.ndim(arr) == 0:
             return arr in vals
         arr = np.asarray(arr)

@@ -42,7 +42,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.algebra.columnar import ColumnarRelation, rows_at
+from repro.algebra.columnar import (
+    ColumnarRelation,
+    int_key_radix,
+    pack_int_key,
+    rows_at,
+)
 from repro.algebra.schema import Schema, as_schema
 from repro.errors import SchemaError
 
@@ -53,9 +58,6 @@ PER_ROW = "__perrow__"
 
 #: ``Relation.sample_cache()`` key of the relation's :class:`KeyIndex`.
 _KEY_INDEX = "__keyindex__"
-
-#: Packed key codes must stay clear of int64 overflow.
-_CODE_LIMIT = 1 << 62
 
 
 def _exact_int(value) -> Optional[int]:
@@ -77,21 +79,25 @@ class KeyIndex:
     arrays — the codes sorted, and the row order that sorts them —
     probed by ``searchsorted`` (16 B per row).  Where every key column
     is a machine-integer array the code is the key packed mixed-radix,
-    computed in numpy.  Any other key type numbers its distinct key
-    tuples in a dict (key tuple → code), so a lookup equates exactly
-    what a dict keyed by the rows' key tuples would (``3.0`` finds
-    ``3``).  Neither form is ever handed out for writing: pending deltas
-    are resolved by lookup on top of it
+    computed in numpy (:func:`~repro.algebra.columnar.pack_int_key`, the
+    packer the set operators share).  Any other key type numbers its
+    distinct key tuples in a dict (key tuple → code), so a lookup
+    equates exactly what a dict keyed by the rows' key tuples would
+    (``3.0`` finds ``3``).  Neither form is ever handed out for
+    writing: pending deltas are resolved by lookup on top of it
     (:meth:`repro.db.database.Database.update`), and :meth:`patched`
     derives a successor's index into fresh arrays and a fresh dict.
     """
 
-    __slots__ = ("_lows", "_spans", "_strides", "_ids", "_codes", "_order")
+    __slots__ = ("_radix", "_ids", "_codes", "_order")
 
     def __init__(self, rel: "Relation"):
         self._ids = None
-        codes = self._pack(rel.columnar().arrays(rel.key))
-        if codes is None:
+        columns = rel.columnar().arrays(rel.key)
+        self._radix = int_key_radix(columns)
+        if self._radix is not None:
+            codes = pack_int_key(columns, self._radix)
+        else:
             self._ids = {}
             codes = self._number(_key_tuples(rel, rel.key), 0)
         self._sort(codes)
@@ -99,26 +105,6 @@ class KeyIndex:
     def _sort(self, codes: np.ndarray) -> None:
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
-
-    def _pack(self, columns) -> Optional[np.ndarray]:
-        """Mixed-radix codes of machine-integer key columns, else None."""
-        if not columns or not len(columns[0]):
-            return None
-        if any(c.dtype.kind != "i" for c in columns):
-            return None
-        self._lows = [int(c.min()) for c in columns]
-        self._spans = [int(c.max()) - lo + 1 for c, lo in zip(columns, self._lows)]
-        self._strides = []
-        stride = 1
-        for span in reversed(self._spans):
-            self._strides.insert(0, stride)
-            stride *= span
-        if stride >= _CODE_LIMIT:
-            return None
-        codes = np.zeros(len(columns[0]), dtype=np.int64)
-        for col, lo, step in zip(columns, self._lows, self._strides):
-            codes += (col - lo) * step
-        return codes
 
     def _number(self, keys: Iterable[tuple], fresh: int) -> np.ndarray:
         """Dict-form codes of ``keys``; unseen keys are numbered from
@@ -169,12 +155,11 @@ class KeyIndex:
             if code is None:
                 return ()
         else:
-            if len(key) != len(self._lows):
+            lows, spans, strides = self._radix
+            if len(key) != len(lows):
                 return ()
             code = 0
-            for value, lo, span, step in zip(
-                key, self._lows, self._spans, self._strides
-            ):
+            for value, lo, span, step in zip(key, lows, spans, strides):
                 value = _exact_int(value)
                 if value is None or not 0 <= value - lo < span:
                     return ()

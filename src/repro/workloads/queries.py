@@ -57,7 +57,7 @@ class QueryGenerator:
         values = self.view_data.column(attr)
         if not values:
             return ALWAYS
-        distinct = sorted(set(values), key=repr)
+        distinct, ordered = _domain(values)
         if len(distinct) <= 3:
             picks = self.rng.choice(
                 len(distinct), size=max(1, len(distinct) // 2), replace=False
@@ -68,6 +68,10 @@ class QueryGenerator:
         n = len(distinct)
         width = max(2, int(n * self.rng.uniform(self.min_selectivity, 0.6)))
         start = int(self.rng.integers(0, max(1, n - width)))
+        if not ordered:
+            # No order to take a range in: the same stretch of the domain
+            # as a key set.
+            return IsIn(col(attr), distinct[start:start + width])
         return Between(col(attr), distinct[start], distinct[start + width - 1])
 
     def draw(self, func: Optional[str] = None) -> AggQuery:
@@ -90,6 +94,25 @@ class QueryGenerator:
     def batch(self, n: int, func: Optional[str] = None) -> List[AggQuery]:
         """``n`` random queries (paper: 100 per view)."""
         return [self.draw(func) for _ in range(n)]
+
+
+def _domain(values) -> tuple:
+    """``(distinct values, in value order?)`` of one column.
+
+    Value order when the values are totally ordered (numbers, strings),
+    so a range between two of them selects everything in between.  A
+    domain that is not — mixed types that do not compare, or NaN — is
+    ordered by ``repr`` instead, where a "range" would select by
+    accident.
+    """
+    distinct = list(set(values))
+    try:
+        ranked = sorted(distinct)
+        if all(a < b for a, b in zip(ranked, ranked[1:])):
+            return ranked, True
+    except TypeError:
+        pass
+    return sorted(distinct, key=repr), False
 
 
 def relative_error(estimate: float, truth: float) -> float:

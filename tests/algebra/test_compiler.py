@@ -31,9 +31,9 @@ from repro.algebra import (
     lit,
     set_columnar_enabled,
 )
+from repro.algebra import evaluator
 from repro.algebra.compiler import (
     CompiledPlan,
-    _union_fusable,
     bump_plan_epoch,
     clear_plan_cache,
     compile_count,
@@ -42,6 +42,8 @@ from repro.algebra.compiler import (
     plan_epoch,
     plan_key,
 )
+from repro.algebra.evaluator import _union_disjoint
+from repro.algebra.keys import derive_schema
 from repro.algebra.predicates import Col, Const, IsIn
 
 
@@ -59,6 +61,25 @@ def assert_equivalent(expr, leaves):
     assert got.key == ref.key
     assert got.schema == ref.schema
     return plan
+
+
+def disjoint(expr, leaves):
+    return _union_disjoint(expr, derive_schema(expr.left, leaves), leaves)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every key probe a set operator runs (a proven-disjoint union
+    concatenates without one)."""
+    calls = []
+    probe = evaluator._try_key_matches
+
+    def spy(left, right, key):
+        calls.append((len(left), len(right)))
+        return probe(left, right, key)
+
+    monkeypatch.setattr(evaluator, "_try_key_matches", spy)
+    return calls
 
 
 @pytest.fixture
@@ -148,25 +169,27 @@ class TestFusionAndCSE:
             Project(shared_b, [Output("id", col("id")), Output("m", Const(2))]),
         )
         plan = assert_equivalent(expr, leaves)
-        # leaf, shared select, two project chains, fused union = 5 slots;
+        # leaf, shared select, two project chains, union = 5 slots;
         # without CSE the select would compile twice.
         kinds = plan.stage_kinds()
         assert kinds.count("leaf") == 1
-        assert kinds.count("union") == 1
+        assert kinds.count("node") == 1
         assert len(kinds) == 5
 
-    def test_disjoint_union_fuses(self, leaves):
+    def test_disjoint_union_fuses(self, leaves, probes):
         expr = Union(
             Project(BaseRel("R"), [Output("id", col("id")),
                                    Output("m", Const(1))]),
             Project(BaseRel("R"), [Output("id", col("id")),
                                    Output("m", Const(-1))]),
         )
-        assert _union_fusable(expr, leaves)
-        plan = assert_equivalent(expr, leaves)
-        assert "union" in plan.stage_kinds()
+        assert disjoint(expr, leaves)
+        assert_equivalent(expr, leaves)
+        assert probes == []  # concatenated in both engines, never probed
 
-    def test_equal_literals_of_different_type_block_union_fusion(self, leaves):
+    def test_equal_literals_of_different_type_block_union_fusion(
+        self, leaves, probes
+    ):
         # Const(1) and Const(True) compare equal row-wise, so the union
         # CAN deduplicate across sides — fusing would skip that.
         expr = Union(
@@ -175,19 +198,20 @@ class TestFusionAndCSE:
             Project(BaseRel("R"), [Output("id", col("id")),
                                    Output("m", Const(True))]),
         )
-        assert not _union_fusable(expr, leaves)
-        plan = assert_equivalent(expr, leaves)
-        assert "union" not in plan.stage_kinds()
+        assert not disjoint(expr, leaves)
+        assert_equivalent(expr, leaves)
+        assert probes  # the rows the sides share are looked up by key
 
-    def test_overlapping_domains_block_union_fusion(self, leaves):
+    def test_overlapping_domains_block_union_fusion(self, leaves, probes):
         expr = Union(
             Project(BaseRel("R"), [Output("id", col("id")),
                                    Output("m", Const(1))]),
             Project(BaseRel("R"), [Output("id", col("id")),
                                    Output("m", Const(1))]),
         )
-        assert not _union_fusable(expr, leaves)
+        assert not disjoint(expr, leaves)
         assert_equivalent(expr, leaves)
+        assert probes
 
     def test_indexed_membership_select_stays_generic(self, leaves):
         # σ_{id ∈ K}(R) is served by the leaf value index, whose output
@@ -315,8 +339,7 @@ class TestRowEngineContract:
         old = set_columnar_enabled(False)
         try:
             plan = compile_plan(expr, leaves)
-            assert "chain" not in plan.stage_kinds()
-            assert "union" not in plan.stage_kinds()
+            assert set(plan.stage_kinds()) == {"leaf", "node"}
             ref = evaluate(expr, leaves)
             got = plan.execute(leaves)
             assert exact_rows(got) == exact_rows(ref)

@@ -4,6 +4,8 @@ the random query generator."""
 import numpy as np
 import pytest
 
+from repro.algebra import Relation, Schema
+from repro.algebra.predicates import Between, IsIn
 from repro.core.estimators import AggQuery
 from repro.db import CHANGE_TABLE, Catalog, RECOMPUTE, classify_view, maintain
 from repro.db.staleness import classify
@@ -183,6 +185,33 @@ class TestQueryGenerator:
         a = QueryGenerator(view_data, ["l_shipmode"], ["revenue"], seed=3)
         b = QueryGenerator(view_data, ["l_shipmode"], ["revenue"], seed=3)
         assert [q.name for q in a.batch(10)] == [q.name for q in b.batch(10)]
+
+    def test_numeric_ranges_follow_value_order(self):
+        # Sorted by repr, 1000 < 117 < 200 < 34 < 5, and a range such as
+        # Between(117, 34) matched nothing.
+        domain = [5, 34, 117, 200, 1000]
+        data = Relation(Schema(["k", "v"]),
+                        [(i, float(i)) for i in domain * 3], key=None)
+        for seed in range(40):
+            pred = QueryGenerator(data, ["k"], ["v"], seed=seed)._predicate("k")
+            assert isinstance(pred, Between)
+            assert pred.lo < pred.hi
+            inside = [v for v in domain if pred.lo <= v <= pred.hi]
+            assert inside == domain[domain.index(pred.lo):
+                                    domain.index(pred.hi) + 1]
+
+    def test_unorderable_domains_draw_key_sets(self):
+        # int / str / None do not compare: no range, but the same stretch
+        # of the (repr-ordered) domain as a key set, which always matches.
+        domain = [3, "a", None, 7.5, "b", 12]
+        data = Relation(Schema(["k", "v"]),
+                        [(k, 1.0) for k in domain * 2], key=None)
+        for seed in range(20):
+            q = QueryGenerator(data, ["k"], ["v"], funcs=("count",),
+                               seed=seed).draw()
+            assert isinstance(q.predicate, IsIn)
+            assert len(q.predicate.values) >= 2
+            assert q.evaluate(data) >= 4
 
 
 class TestErrorMetrics:
