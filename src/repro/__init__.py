@@ -15,9 +15,6 @@ Public API highlights:
   Spark-based experiments.
 * ``repro.serving`` — always-on serving: concurrent ingest + SVC query
   front end with epoch-pinned reads and freshness-budget scheduling.
-* ``repro.tuning`` — self-tuning execution: a telemetry-fitted cost
-  model picks shard count, backend, transport, and engine per
-  maintenance round (opt-in via ``set_auto_tune``).
 * ``repro.experiments`` — harness regenerating every table and figure.
 """
 
@@ -47,7 +44,6 @@ from repro.core import (
 from repro.db import Catalog, Database, MaterializedView
 from repro.distributed.shard import get_shard_count, set_shard_count
 from repro.serving import FreshnessSLA, ViewServer
-from repro.tuning import auto_tune_enabled, set_auto_tune
 
 __version__ = "1.0.0"
 
@@ -72,12 +68,10 @@ __all__ = [
     "StaleViewCleaner",
     "ViewServer",
     "__version__",
-    "auto_tune_enabled",
     "col",
     "evaluate",
     "get_shard_count",
     "lit",
-    "set_auto_tune",
     "set_shard_count",
     "svc_aqp",
     "svc_corr",

@@ -13,7 +13,7 @@ contracts as static-analysis rules (stdlib ``ast`` only) so new code
 cannot silently regress them:
 
 * **REP001** unregistered module-level cache (``repro.caches``)
-* **REP002** raw shared-memory lifecycle outside the transport/probe
+* **REP002** raw shared-memory lifecycle outside the transport
 * **REP003** unrestored ``set_*`` engine toggle
 * **REP004** silent ``except Exception`` in a failure domain
 * **REP005** columnar fast path outside the fallback-guard dispatch

@@ -8,7 +8,7 @@ examples in ``docs/analysis.md``):
 REP001    module-level cache container not registered with
           :mod:`repro.caches`
 REP002    raw ``SharedMemory`` creation / ``unlink`` outside the
-          transport and probe modules
+          transport module
 REP003    ``set_*`` engine toggle without save/restore pairing
 REP004    swallowed ``except Exception`` in a failure domain without
           :class:`~repro.reliability.telemetry.FailureReason` telemetry

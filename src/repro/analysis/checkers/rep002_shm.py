@@ -5,8 +5,8 @@ atexit unlink, attachment goes through the tracker-aware helper, and
 ``unlink`` happens exactly once on the owning side (PR 5's
 worker-spawned resource tracker and PR 7's leak audit were both
 violations of this protocol).  Raw ``SharedMemory(create=True)`` or
-``.unlink()`` anywhere outside the transport module and the hardware
-probe bypasses that lifecycle.
+``.unlink()`` anywhere outside the transport module bypasses that
+lifecycle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.analysis.registry import FileChecker, register_checker
 #: Modules allowed to create/unlink segments (path suffixes).
 ALLOWED_SUFFIXES: Tuple[str, ...] = (
     "repro/distributed/transport.py",
-    "repro/tuning/probe.py",
 )
 
 
@@ -52,7 +51,7 @@ def _is_unlink_call(node: ast.Call) -> bool:
 class SharedMemoryLifecycleChecker(FileChecker):
     rule = "REP002"
     name = "raw-shared-memory"
-    title = "SharedMemory lifecycle outside the transport/probe allowlist"
+    title = "SharedMemory lifecycle outside the transport allowlist"
     severity = "error"
 
     def check_module(self, module: ModuleContext) -> Iterator[Finding]:

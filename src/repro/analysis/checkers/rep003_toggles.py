@@ -1,7 +1,7 @@
 """REP003: engine toggles used inside library code must be restored.
 
-``set_shard_count`` / ``set_columnar_enabled`` / ``set_hash_family`` /
-``set_auto_tune`` are process-global and bump the plan epoch; library
+``set_shard_count`` / ``set_columnar_enabled`` / ``set_hash_family``
+are process-global and bump the plan epoch; library
 code that flips one and forgets to restore it leaks the change into the
 caller's engine (and invalidates every cached plan twice over).  A
 toggle call inside a function is compliant when it
@@ -10,9 +10,9 @@ toggle call inside a function is compliant when it
 * runs inside a ``finally`` block (it *is* the restore), or
 * passes a previously saved value back (``set_x(old)``).
 
-Deliberately unrestored installs (the auto-tuner's applicator, worker
-processes applying the coordinator's toggles to their own forked copy)
-carry an inline suppression with the reason.
+Deliberately unrestored installs (worker processes applying the
+coordinator's toggles to their own forked copy) carry an inline
+suppression with the reason.
 """
 
 from __future__ import annotations

@@ -65,53 +65,10 @@ class Catalog:
         pre-built one reused across periods).  ``shards`` overrides the
         global shard count for this period only (views whose structure
         does not admit partitioning still run single-shard).
-        ``shards="auto"`` instead lets the cost-model tuner
-        (:mod:`repro.tuning`) pick the configuration per view and per
-        round for this period; the hand-set toggles are restored — and
-        auto-tuning returns to its previous state — when the period
-        ends.
         """
         from repro.distributed.shard import set_shard_count
 
-        if shards == "auto":
-            self._maintain_all_auto(strategies)
-        else:
-            old = set_shard_count(shards) if shards is not None else None
-            try:
-                for view in self._views.values():
-                    strategy = None
-                    if strategies is not None:
-                        strategy = strategies.get(view.name)
-                    if strategy is None:
-                        strategy = choose_strategy(view)
-                    maintain(view, strategy)
-            finally:
-                if old is not None:
-                    set_shard_count(old)
-        if apply_deltas:
-            self.database.apply_deltas()
-
-    def _maintain_all_auto(
-        self, strategies: Optional[Dict[str, MaintenanceStrategy]]
-    ) -> None:
-        """One auto-tuned maintenance period (``shards="auto"``).
-
-        The tuner moves the global toggles round by round; afterwards
-        the snapshot is restored through the tuner's diff-aware
-        applicator so an unchanged setting is never re-asserted (a
-        gratuitous ``set_shard_count(backend="process")`` would reset
-        the circuit breaker; leaving shm would unlink resident exports).
-        """
-        from repro.algebra.evaluator import (
-            columnar_enabled,
-            set_columnar_enabled,
-        )
-        from repro.distributed.shard import get_shard_config, set_shard_count
-        from repro.tuning.tuner import set_auto_tune
-
-        snapshot_cfg = get_shard_config()
-        snapshot_columnar = columnar_enabled()
-        was_auto = set_auto_tune(True)
+        old = set_shard_count(shards) if shards is not None else None
         try:
             for view in self._views.values():
                 strategy = None
@@ -121,14 +78,7 @@ class Catalog:
                     strategy = choose_strategy(view)
                 maintain(view, strategy)
         finally:
-            set_auto_tune(was_auto)
-            current = get_shard_config()
-            kwargs = {}
-            if current.backend != snapshot_cfg.backend:
-                kwargs["backend"] = snapshot_cfg.backend
-            if current.transport != snapshot_cfg.transport:
-                kwargs["transport"] = snapshot_cfg.transport
-            if current.count != snapshot_cfg.count or kwargs:
-                set_shard_count(snapshot_cfg.count, **kwargs)
-            if columnar_enabled() != snapshot_columnar:
-                set_columnar_enabled(snapshot_columnar)
+            if old is not None:
+                set_shard_count(old)
+        if apply_deltas:
+            self.database.apply_deltas()

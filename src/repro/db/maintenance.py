@@ -430,25 +430,7 @@ def maintain(view, strategy: Optional[MaintenanceStrategy] = None):
     reference path.  Does not fold the deltas into the base relations —
     call ``database.apply_deltas()`` once every registered view (and
     every SVC sample) has been maintained for the period.
-
-    When auto-tuning is enabled (:func:`repro.tuning.set_auto_tune` —
-    off by default), the round is routed through the tuner: it picks
-    the shard/engine configuration its cost model predicts cheapest for
-    this round's workload, runs the identical maintenance logic under
-    it, and learns from the observed cost.  The tuner only moves the
-    existing global toggles, so the maintained result is the same
-    relation either way (``tests/tuning/test_decision_equivalence.py``).
     """
-    from repro.tuning.tuner import active_tuner
-
-    tuner = active_tuner()
-    if tuner is not None:
-        return tuner.run_round(view, lambda: _maintain_impl(view, strategy))
-    return _maintain_impl(view, strategy)
-
-
-def _maintain_impl(view, strategy: Optional[MaintenanceStrategy] = None):
-    """The untuned maintenance round (see :func:`maintain`)."""
     plan = None
     if strategy is None:
         strategy, plan = compiled_strategy(view)

@@ -138,9 +138,8 @@ class ShardConfig:
     one attempt's shards must all meet (None = wait forever, the
     pre-hardening behavior); ``max_retries`` bounds how many times
     infrastructure failures are retried before the failed shards fall
-    back to serial in-process execution; the backoff between attempts is
-    exponential from ``backoff_base_s`` (capped at ``backoff_cap_s``)
-    with multiplicative jitter in [0.5, 1.5).
+    back to serial in-process execution (see :func:`_backoff_sleep` for
+    the delay between attempts).
     """
 
     count: int = 1
@@ -149,8 +148,6 @@ class ShardConfig:
     transport: str = "shm"
     shard_timeout_s: Optional[float] = None
     max_retries: int = 1
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 2.0
 
     def workers(self) -> int:
         cpus = os.cpu_count() or 1
@@ -163,6 +160,11 @@ _CONFIG = ShardConfig()
 
 #: Sentinel distinguishing "parameter not passed" from explicit None.
 _UNSET = object()
+
+
+def _is_int(value) -> bool:
+    """A real integer: ``2.0`` and ``True`` would break partitioning."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def set_shard_count(
@@ -200,8 +202,8 @@ def set_shard_count(
         finally: set_shard_count(old)
     """
     global _CONFIG
-    if count < 1:
-        raise MaintenanceError(f"shard count must be >= 1: {count}")
+    if not _is_int(count) or count < 1:
+        raise MaintenanceError(f"shard count must be an int >= 1: {count!r}")
     if backend is not None and backend not in BACKENDS:
         raise MaintenanceError(
             f"unknown shard backend {backend!r}; expected one of {BACKENDS}"
@@ -224,8 +226,10 @@ def set_shard_count(
         )
     if max_retries is None:
         max_retries = _CONFIG.max_retries
-    elif max_retries < 0:
-        raise MaintenanceError(f"max_retries must be >= 0: {max_retries}")
+    elif not _is_int(max_retries) or max_retries < 0:
+        raise MaintenanceError(
+            f"max_retries must be an int >= 0: {max_retries!r}"
+        )
     if backend == "process":
         clear_pool_demotion()
     old = _CONFIG.count
@@ -239,8 +243,6 @@ def set_shard_count(
         transport=new_transport,
         shard_timeout_s=shard_timeout_s,
         max_retries=max_retries,
-        backoff_base_s=_CONFIG.backoff_base_s,
-        backoff_cap_s=_CONFIG.backoff_cap_s,
     )
     if count != old:
         # Shard layout is part of the environment a compiled plan (and
@@ -899,17 +901,20 @@ def _classify_failure(err: BaseException) -> FailureReason:
     return FailureReason.TASK_ERROR
 
 
-def _backoff_sleep(attempt: int, config: ShardConfig) -> None:
+#: Retry backoff: exponential from ``BACKOFF_BASE_S``, capped at
+#: ``BACKOFF_CAP_S``, times a jitter in [0.5, 1.5).
+BACKOFF_BASE_S = 0.02
+BACKOFF_CAP_S = 2.0
+
+
+def _backoff_sleep(attempt: int) -> None:
     """Jittered exponential backoff before retry ``attempt`` (>= 1).
 
     Deterministic under an installed fault plan (the jitter derives
     from the plan's seed) so chaos runs reproduce exactly; otherwise
     the jitter is ordinary randomness in [0.5, 1.5) of the base delay.
     """
-    base = min(config.backoff_base_s * (2 ** (attempt - 1)),
-               config.backoff_cap_s)
-    if base <= 0:
-        return
+    base = min(BACKOFF_BASE_S * (2 ** (attempt - 1)), BACKOFF_CAP_S)
     plan = active_fault_plan()
     unit = plan.jitter("backoff", attempt) if plan is not None \
         else random.random()
@@ -945,7 +950,7 @@ def _run_process_round(tasks, config: ShardConfig, workers: int,
             break
         if attempt:
             telemetry.retries += 1
-            _backoff_sleep(attempt, config)
+            _backoff_sleep(attempt)
         order = sorted(pending)
         try:
             payloads, stats = _encode_process_tasks(
@@ -1078,7 +1083,7 @@ def _run_thread_round(tasks, config: ShardConfig, workers: int,
             break
         if attempt:
             telemetry.retries += 1
-            _backoff_sleep(attempt, config)
+            _backoff_sleep(attempt)
         order = sorted(pending)
         pool = _get_pool("thread", min(workers, len(order)))
         futures = {i: pool.submit(_run_local_task, tasks[i]) for i in order}

@@ -97,7 +97,7 @@ class ViewLoad:
     traffic: float
     #: Predicted cost (seconds) of one cleaning round at
     #: ``target_ratio``, supplied by the server's spike-clamped EWMA
-    #: predictor (:class:`repro.tuning.predictor.CostEwma`) — one
+    #: predictor (:class:`repro.serving.server.CostEwma`) — one
     #: pathological round cannot inflate it past every future budget,
     #: so a spike degrades the next round instead of starving the view.
     predicted_cost_s: float

@@ -49,6 +49,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.core.estimators import AggQuery
 from repro.core.svc import StaleViewCleaner
 from repro.db.catalog import Catalog
+from repro.distributed.shard import last_shard_report
 from repro.errors import EstimationError, MaintenanceError
 from repro.serving.epochs import EpochManager, ViewSnapshot
 from repro.serving.metrics import (
@@ -65,7 +66,52 @@ from repro.serving.scheduler import (
 )
 from repro.reliability.faults import SERVING_MAINTENANCE, fault_check
 from repro.reliability.telemetry import FailureEvent, FailureReason
-from repro.tuning.predictor import CostEwma
+
+#: Smoothing weight of the newest round in :class:`CostEwma`.
+COST_EWMA_ALPHA = 0.3
+#: One round moves :class:`CostEwma` to at most this multiple of it.
+COST_SPIKE_CLAMP = 3.0
+
+
+@dataclass
+class CostEwma:
+    """Exponentially-weighted round-cost estimate with bounded spike uptake.
+
+    The one addition over a plain EWMA is the **spike clamp**: a single
+    pathological round (GC pause, fault-injection kill + serial
+    recovery, cold cache) is absorbed at no more than
+    ``COST_SPIKE_CLAMP``× the current estimate.  Without it, one 500×
+    spike inflates the predicted cost so far past any scheduler budget
+    that the view is skipped every tick — and because skipped views
+    never run, the estimate never corrects: permanent starvation from one
+    bad round.  With the clamp the estimate grows geometrically, so a
+    *genuine* cost regime change is still learned within a few rounds
+    while a one-off spike decays away.
+    """
+
+    _value: float = field(default=0.0, repr=False)
+    count: int = 0
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def update(self, seconds: float) -> float:
+        """Fold one observed round cost in; returns the new estimate."""
+        sample = max(float(seconds), 0.0)
+        if self.count == 0 or self._value <= 0.0:
+            self._value = sample
+        else:
+            sample = min(sample, COST_SPIKE_CLAMP * self._value)
+            self._value = ((1.0 - COST_EWMA_ALPHA) * self._value
+                           + COST_EWMA_ALPHA * sample)
+        self.count += 1
+        return self._value
+
+    def reset(self, value: float = 0.0) -> None:
+        """Overwrite the estimate (legacy direct-assignment path)."""
+        self._value = max(float(value), 0.0)
+        self.count = 1 if value > 0.0 else 0
 
 
 @dataclass
@@ -95,8 +141,7 @@ class _ServedView:
     #: Spike-clamped smoothed seconds per cleaning round at the SLA's
     #: target ratio — the scheduler's ``predicted_cost_s``.  The clamp
     #: keeps one pathological round from inflating the prediction past
-    #: every future budget (permanent starvation); see
-    #: :class:`repro.tuning.predictor.CostEwma`.
+    #: every future budget (permanent starvation); see :class:`CostEwma`.
     cost_predictor: CostEwma = field(default_factory=CostEwma)
     traffic_ewma: float = 0.0
     reads_since_round: int = 0
@@ -357,6 +402,7 @@ class ViewServer:
         with self._maintenance_lock:
             self._drain_queue()
             start = time.perf_counter()
+            shard_report = last_shard_report()
             saved = {v.name: v.data for v in self.catalog}
             try:
                 fault = fault_check(SERVING_MAINTENANCE)
@@ -404,7 +450,7 @@ class ViewServer:
                     epoch=snap.epoch,
                     pending_rows=0,
                     queries_since_last=served.reads_since_round,
-                    shard_backend=self._last_backend(),
+                    shard_backend=self._round_backend(shard_report),
                 )
                 self._finish_round(served, report, degraded=False,
                                    update_cost=False)
@@ -426,6 +472,7 @@ class ViewServer:
         pending = self._pending_rows(served.view)
         svc = served.cleaner(ratio)
         start = time.perf_counter()
+        shard_report = last_shard_report()
         try:
             fault = fault_check(SERVING_MAINTENANCE)
             if fault is not None:
@@ -455,7 +502,7 @@ class ViewServer:
             epoch=snap.epoch,
             pending_rows=pending,
             queries_since_last=served.reads_since_round,
-            shard_backend=self._last_backend(),
+            shard_backend=self._round_backend(shard_report),
         )
         # Predict future full-ratio rounds from this one: cleaning cost
         # is ~linear in the ratio, so normalize before smoothing.
@@ -615,11 +662,18 @@ class ViewServer:
         """Pending delta rows touching any base leaf of ``view``."""
         return self._pending_counts(view)[0]
 
-    def _last_backend(self) -> str:
-        from repro.distributed.shard import last_shard_report
+    @staticmethod
+    def _round_backend(before) -> str:
+        """The shard backend of this round ("" if it ran single-shard).
 
+        ``before`` is the shard report seen at round start: the report
+        is module-global, so one left over from an earlier round (or
+        another view) must not label this one.
+        """
         report = last_shard_report()
-        return report.backend if report is not None else ""
+        if report is None or report is before:
+            return ""
+        return report.backend
 
     # ------------------------------------------------------------------
     # Background maintainer

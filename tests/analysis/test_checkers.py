@@ -64,7 +64,7 @@ class TestRep001Caches:
 
 
 # ---------------------------------------------------------------------------
-# REP002 — raw SharedMemory lifecycle outside the transport/probe
+# REP002 — raw SharedMemory lifecycle outside the transport
 # ---------------------------------------------------------------------------
 
 
@@ -86,9 +86,10 @@ class TestRep002SharedMemory:
         project.write("src/repro/db/export.py", SHM_SNIPPET)
         assert project.rules() == ["REP002", "REP002"]
 
-    def test_quiet_inside_transport_and_probe(self, project):
+    def test_quiet_inside_transport(self, project):
         project.write("src/repro/distributed/transport.py", SHM_SNIPPET)
-        project.write("src/repro/tuning/probe.py", SHM_SNIPPET)
+        # The allowlist matches a path suffix, whatever the source root.
+        project.write("lib/repro/distributed/transport.py", SHM_SNIPPET)
         assert project.rules() == []
 
     def test_pathlib_unlink_with_args_not_flagged(self, project):

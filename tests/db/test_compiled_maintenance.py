@@ -7,11 +7,14 @@ per round signature on the view, :func:`maintain` executes it, and every
 documented invalidation trigger (hash family, engine toggle, shard
 count, schema change) recompiles instead of serving a stale pipeline —
 plus the ``plan_shards`` memo regression (it previously survived
-``set_hash_family``).
+``set_hash_family``) and the no-op contract of re-asserting a toggle.
 """
+
+import pytest
 
 from repro.algebra import AggSpec, Aggregate, BaseRel, col, set_columnar_enabled
 from repro.algebra.compiler import compile_count
+from repro.algebra.evaluator import columnar_enabled
 from repro.db import Catalog
 from repro.db.maintenance import (
     build_strategy,
@@ -19,7 +22,12 @@ from repro.db.maintenance import (
     maintain,
     plan_signature,
 )
-from repro.distributed import plan_shards, set_shard_count
+from repro.distributed import (
+    engine_fingerprint,
+    get_shard_config,
+    plan_shards,
+    set_shard_count,
+)
 from repro.stats.hashing import set_hash_family
 
 from tests.conftest import make_log_video_db, visit_view_definition
@@ -192,6 +200,55 @@ class TestShardPlanMemo:
         finally:
             set_shard_count(1)
         assert sorted(maintained.rows) == sorted(fresh.rows)
+
+
+#: Each engine toggle, moved off its default.
+NON_DEFAULT = {
+    "shard_count": lambda: set_shard_count(2, backend="serial"),
+    "columnar": lambda: set_columnar_enabled(False),
+}
+
+
+class TestEngineToggleCaches:
+    """A toggle flip invalidates every epoch-keyed cache — the compiled
+    plan, the ``plan_shards`` memo, the calibration fingerprint — and a
+    same-value re-assert invalidates none of them (a gratuitous bump
+    would recompile and re-partition every round)."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_toggles(self):
+        cfg = get_shard_config()
+        old = columnar_enabled()
+        yield
+        set_shard_count(cfg.count, backend=cfg.backend)
+        set_columnar_enabled(old)
+
+    @staticmethod
+    def _caches(view):
+        _, plan = compiled_strategy(view)
+        return plan, plan_shards(view), engine_fingerprint()
+
+    @pytest.mark.parametrize("toggle", sorted(NON_DEFAULT))
+    def test_flip_invalidates_every_cache(self, visit_view, toggle):
+        _mutate(visit_view.database, 0)
+        plan, shards, fingerprint = self._caches(visit_view)
+        NON_DEFAULT[toggle]()
+        assert not plan.valid_for(visit_view.database.leaves())
+        replanned = plan_shards(visit_view)
+        assert replanned is not shards
+        assert replanned.partitioned == shards.partitioned
+        assert engine_fingerprint() != fingerprint
+
+    @pytest.mark.parametrize("toggle", sorted(NON_DEFAULT))
+    def test_same_value_reassert_invalidates_nothing(self, visit_view,
+                                                     toggle):
+        _mutate(visit_view.database, 0)
+        NON_DEFAULT[toggle]()
+        plan, shards, fingerprint = self._caches(visit_view)
+        NON_DEFAULT[toggle]()
+        assert plan.valid_for(visit_view.database.leaves())
+        assert plan_shards(visit_view) is shards
+        assert engine_fingerprint() == fingerprint
 
 
 class TestSanity:

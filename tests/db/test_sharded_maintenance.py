@@ -5,7 +5,7 @@ example, mix insertions, deletions and updates (including all-delete
 batches and shard counts that leave shards empty), and check that
 ``maintain`` under ``set_shard_count(n)`` produces exactly the relation
 the reference single-shard path produces — for n ∈ {1, 2, 3, 7} and for
-every executor backend.
+every executor backend, transport and engine.
 """
 
 import pytest
@@ -21,11 +21,12 @@ from repro.algebra import (
     Schema,
     Select,
     col,
+    set_columnar_enabled,
 )
 from repro.core import AggQuery, StaleViewCleaner
 from repro.db import Catalog, Database, classify, maintain
 from repro.distributed import last_shard_report, plan_shards, set_shard_count
-from repro.distributed.shard import get_shard_count
+from repro.distributed.shard import get_shard_config, get_shard_count
 from repro.errors import MaintenanceError
 
 SHARD_COUNTS = (1, 2, 3, 7)
@@ -218,6 +219,20 @@ class TestShardPlanner:
             set_shard_count(2, backend="gpu")
         assert get_shard_count() == 1
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", "auto"])
+    def test_set_shard_count_rejects_non_int_counts(self, count):
+        # Stored as given, these used to fail only at the next
+        # maintain(), deep in partitioning.
+        with pytest.raises(MaintenanceError):
+            set_shard_count(count)
+        assert get_shard_count() == 1
+
+    @pytest.mark.parametrize("retries", [1.5, True, -1])
+    def test_set_shard_count_rejects_non_int_retries(self, retries):
+        with pytest.raises(MaintenanceError):
+            set_shard_count(2, max_retries=retries)
+        assert get_shard_count() == 1
+
     def test_set_shard_count_returns_previous(self):
         assert set_shard_count(3) == 1
         assert set_shard_count(1) == 3
@@ -265,6 +280,38 @@ class TestShardedExecutionModes:
         assert get_shard_count() == 1  # restored
         assert classify(view.require_data(), fresh).is_fresh()
         assert not db.is_stale()
+
+    @pytest.mark.parametrize("view_builder", [spj_view, spja_view],
+                             ids=["spj", "spja"])
+    @pytest.mark.parametrize("columnar", [True, False],
+                             ids=["columnar", "row"])
+    @pytest.mark.parametrize("count,backend,transport", [
+        (1, "serial", "shm"),
+        (2, "serial", "shm"),
+        (2, "thread", "shm"),
+        (2, "process", "shm"),
+        (2, "process", "pickle"),
+    ])
+    def test_every_configuration_maintains_like_recompute(
+        self, count, backend, transport, columnar, view_builder
+    ):
+        """Shard count × backend × transport × engine change speed only."""
+        rows = [(s, s % 7) for s in range(60)]
+        db = build_db(rows)
+        view = view_builder(db)
+        db.insert("Log", [(300 + i, i % 7) for i in range(25)])
+        db.delete("Log", [rows[i] for i in range(0, 12, 3)])
+        cfg = get_shard_config()
+        old_columnar = set_columnar_enabled(columnar)
+        set_shard_count(count, backend=backend, transport=transport)
+        try:
+            maintained = sorted(maintain(view).rows, key=repr)
+        finally:
+            set_columnar_enabled(old_columnar)
+            set_shard_count(cfg.count, backend=cfg.backend,
+                            transport=cfg.transport)
+        db.apply_deltas()
+        assert maintained == sorted(view.materialize().rows, key=repr)
 
 
 class TestShardedCleaning:

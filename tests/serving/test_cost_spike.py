@@ -7,7 +7,7 @@ stall, cold cache) of, say, 50 s against a 0.25 s tick budget pushed
 the EWMA to ~15 s — never affordable, so the view was skipped every
 tick, and because skipped views never run, the estimate never decayed:
 starvation with no recovery path.  The spike-clamped
-:class:`repro.tuning.predictor.CostEwma` bounds what one round can do
+:class:`repro.serving.server.CostEwma` bounds what one round can do
 to the estimate, so the view is schedulable again within a couple of
 rounds while a *sustained* cost regime change is still learned.
 """
@@ -15,8 +15,7 @@ rounds while a *sustained* cost regime change is still learned.
 import pytest
 
 from repro.serving.scheduler import FreshnessScheduler, FreshnessSLA, ViewLoad
-from repro.serving.server import _ServedView
-from repro.tuning import CostEwma
+from repro.serving.server import CostEwma, _ServedView
 
 BUDGET_S = 0.25
 SLA = FreshnessSLA(max_staleness_s=0.1, target_ratio=0.1, min_ratio=0.02)
@@ -30,13 +29,13 @@ def load_with_cost(cost_s: float) -> ViewLoad:
 
 class TestCostEwmaClamp:
     def test_tracks_steady_costs_exactly_like_an_ewma(self):
-        ewma = CostEwma(alpha=0.3)
+        ewma = CostEwma()
         ewma.update(0.1)
         ewma.update(0.2)
         assert ewma.value == pytest.approx(0.7 * 0.1 + 0.3 * 0.2)
 
     def test_one_spike_is_absorbed_bounded(self):
-        ewma = CostEwma(alpha=0.3, spike_clamp=3.0)
+        ewma = CostEwma()
         for _ in range(5):
             ewma.update(0.1)
         ewma.update(50.0)  # 500× spike
@@ -47,7 +46,7 @@ class TestCostEwmaClamp:
         assert ewma.value == pytest.approx(0.14, abs=0.02)
 
     def test_sustained_regime_change_is_still_learned(self):
-        ewma = CostEwma(alpha=0.3, spike_clamp=3.0)
+        ewma = CostEwma()
         ewma.update(0.1)
         for _ in range(10):
             ewma.update(5.0)
@@ -77,7 +76,7 @@ class TestSchedulerSpikeRecovery:
         return outcomes
 
     def test_spike_does_not_permanently_starve_the_view(self):
-        ewma = CostEwma(alpha=0.3, spike_clamp=3.0)
+        ewma = CostEwma()
         for _ in range(3):
             ewma.update(0.1)
         ewma.update(50.0)  # the pathological round

@@ -21,6 +21,7 @@ from repro.algebra import (
 )
 from repro.core import AggQuery, StaleViewCleaner
 from repro.db import Catalog, Database
+from repro.distributed import get_shard_config, set_shard_count
 from repro.errors import MaintenanceError
 from repro.serving import FreshnessScheduler, FreshnessSLA, ViewServer
 
@@ -293,3 +294,28 @@ class TestStatsAndWatermarks:
         server.run_tick()
         # Second observation blends 0.7/0.3 — stays the same order.
         assert view.cost_ewma_s > 0.0
+
+
+class TestShardBackendLabel:
+    def test_single_shard_rounds_after_a_sharded_one_report_none(
+        self, served
+    ):
+        # The shard report is module-global: a round that ran single-
+        # shard must not inherit the backend an earlier round left there.
+        _, _, server, clock = served
+
+        def clean_round(sid):
+            server.ingest("Log", inserts=[(sid, 1)])
+            clock.advance(2.0)
+            (report,) = server.run_tick()
+            return report
+
+        cfg = get_shard_config()
+        set_shard_count(2, backend="serial")
+        try:
+            assert clean_round(70_000).shard_backend == "serial"
+        finally:
+            set_shard_count(cfg.count, backend=cfg.backend)
+        assert clean_round(70_001).shard_backend == ""
+        (maintained,) = server.maintain_now()
+        assert maintained.shard_backend == ""

@@ -59,10 +59,9 @@ def test_docs_mention_current_toggles():
     import repro.algebra
 
     readme = (REPO / "README.md").read_text()
-    for name in ("set_columnar_enabled", "set_shard_count", "set_auto_tune"):
+    for name in ("set_columnar_enabled", "set_shard_count"):
         assert name in readme
     assert hasattr(repro, "set_shard_count")
-    assert hasattr(repro, "set_auto_tune")
     assert hasattr(repro.algebra, "set_columnar_enabled")
 
 
