@@ -26,10 +26,24 @@ from repro.algebra import (
 from repro.core import AggQuery, StaleViewCleaner
 from repro.db import Catalog, Database, classify, maintain
 from repro.distributed import last_shard_report, plan_shards, set_shard_count
-from repro.distributed.shard import get_shard_config, get_shard_count
+from repro.distributed.shard import (
+    get_shard_config,
+    get_shard_count,
+    process_breaker,
+)
 from repro.errors import MaintenanceError
 
 SHARD_COUNTS = (1, 2, 3, 7)
+
+#: Every shard count × backend × transport point of the execution space
+#: (the transport only matters to the ``process`` backend).
+CONFIGURATIONS = [
+    (1, "serial", "shm"),
+    (2, "serial", "shm"),
+    (2, "thread", "shm"),
+    (2, "process", "shm"),
+    (2, "process", "pickle"),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +124,26 @@ def make_mutation(new_rows, delete_idx):
         if picks:
             db.delete("Log", list(dict.fromkeys(picks)))
     return mutate
+
+
+def maintain_under(view, count, backend, transport, columnar):
+    """``maintain(view)``'s sorted rows under one execution configuration;
+    the previous configuration is restored afterwards.
+
+    Workers are pinned to the shard count: the default caps them at the
+    CPU count, and one worker runs every backend serially.
+    """
+    cfg = get_shard_config()
+    old_columnar = set_columnar_enabled(columnar)
+    set_shard_count(count, backend=backend, transport=transport,
+                    max_workers=count)
+    try:
+        return sorted(maintain(view).rows, key=repr)
+    finally:
+        set_columnar_enabled(old_columnar)
+        set_shard_count(cfg.count, backend=cfg.backend,
+                        max_workers=cfg.max_workers or 0,
+                        transport=cfg.transport)
 
 
 class TestShardedEquivalenceProperties:
@@ -237,6 +271,45 @@ class TestShardPlanner:
         assert set_shard_count(3) == 1
         assert set_shard_count(1) == 3
 
+    @pytest.mark.parametrize("setting,value", [
+        ("backend", "thread"),
+        ("max_workers", 3),
+        ("transport", "pickle"),
+        ("shard_timeout_s", 5.0),
+        ("max_retries", 4),
+    ])
+    def test_count_only_call_keeps_every_other_setting(self, setting, value):
+        cfg = get_shard_config()
+        try:
+            set_shard_count(2, **{setting: value})
+            set_shard_count(3)
+            assert getattr(get_shard_config(), setting) == value
+        finally:
+            set_shard_count(cfg.count, backend=cfg.backend,
+                            max_workers=cfg.max_workers or 0,
+                            transport=cfg.transport,
+                            shard_timeout_s=cfg.shard_timeout_s or 0,
+                            max_retries=cfg.max_retries)
+
+    @pytest.mark.parametrize("call", [
+        {"count": 2, "backend": "thread"},
+        {"count": 1, "backend": "serial"},
+        {"count": 3},
+    ], ids=["thread", "serial", "count-only"])
+    def test_only_asking_for_process_resets_its_breaker(self, call):
+        # An open breaker stays open through every other configuration
+        # change; only an explicit backend="process" asks for a retry now.
+        breaker = process_breaker()
+        try:
+            breaker.record_failure("pool_broken", "test")
+            assert breaker.state == "open"
+            set_shard_count(**call)
+            assert breaker.state == "open"
+            set_shard_count(2, backend="process")
+            assert breaker.state == "closed"
+        finally:
+            breaker.reset()
+
 
 class TestShardedExecutionModes:
     def _stale_view(self):
@@ -285,13 +358,7 @@ class TestShardedExecutionModes:
                              ids=["spj", "spja"])
     @pytest.mark.parametrize("columnar", [True, False],
                              ids=["columnar", "row"])
-    @pytest.mark.parametrize("count,backend,transport", [
-        (1, "serial", "shm"),
-        (2, "serial", "shm"),
-        (2, "thread", "shm"),
-        (2, "process", "shm"),
-        (2, "process", "pickle"),
-    ])
+    @pytest.mark.parametrize("count,backend,transport", CONFIGURATIONS)
     def test_every_configuration_maintains_like_recompute(
         self, count, backend, transport, columnar, view_builder
     ):
@@ -301,15 +368,29 @@ class TestShardedExecutionModes:
         view = view_builder(db)
         db.insert("Log", [(300 + i, i % 7) for i in range(25)])
         db.delete("Log", [rows[i] for i in range(0, 12, 3)])
-        cfg = get_shard_config()
-        old_columnar = set_columnar_enabled(columnar)
-        set_shard_count(count, backend=backend, transport=transport)
-        try:
-            maintained = sorted(maintain(view).rows, key=repr)
-        finally:
-            set_columnar_enabled(old_columnar)
-            set_shard_count(cfg.count, backend=cfg.backend,
-                            transport=cfg.transport)
+        maintained = maintain_under(view, count, backend, transport, columnar)
+        if count > 1:
+            assert last_shard_report().backend == backend
+        db.apply_deltas()
+        assert maintained == sorted(view.materialize().rows, key=repr)
+
+    @pytest.mark.parametrize("view_builder", [spj_view, spja_view],
+                             ids=["spj", "spja"])
+    @pytest.mark.parametrize("columnar", [True, False],
+                             ids=["columnar", "row"])
+    @pytest.mark.parametrize("count,backend,transport", CONFIGURATIONS)
+    @given(log_rows, inserts, delete_picks)
+    @settings(max_examples=8, deadline=None)
+    def test_random_workloads_maintain_like_recompute(
+        self, count, backend, transport, columnar, view_builder,
+        rows, new_rows, delete_idx
+    ):
+        """The same, over random base data, insertions and deletions
+        (including empty relations and all-delete deltas)."""
+        db = build_db(rows)
+        view = view_builder(db)
+        make_mutation(new_rows, delete_idx)(db)
+        maintained = maintain_under(view, count, backend, transport, columnar)
         db.apply_deltas()
         assert maintained == sorted(view.materialize().rows, key=repr)
 
