@@ -17,7 +17,7 @@ The registry makes the contract explicit and machine-checkable:
   epoch-keyed memos);
 * the toggle paths call :func:`invalidate_caches` with the reason
   instead of reaching into other modules' cache dicts;
-* ``repro.analysis`` rule **REP001** statically rejects any new
+* rule **REP001** in ``tests/test_invariants.py`` rejects any new
   module-level ``*_CACHE`` / ``*_MEMO`` container that is not
   registered here.
 

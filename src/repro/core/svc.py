@@ -118,6 +118,8 @@ class StaleViewCleaner:
         bounded by bootstrap automatically; use :meth:`query_extreme` for
         min/max.
         """
+        if method not in ("corr", "aqp", "auto"):
+            raise EstimationError(f"unknown method {method!r}")
         clean = self.clean_sample
         dirty = self.dirty_sample
         stale = self.view.require_data()
@@ -142,13 +144,11 @@ class StaleViewCleaner:
             return self._sample.corr(query, confidence, stale_value=stale_value)
         if method == "aqp":
             return svc_aqp(clean, query, self.ratio, confidence)
-        if method == "corr":
-            return svc_corr(
-                stale, dirty, clean, query, self.ratio,
-                key=self.view.key, confidence=confidence,
-                stale_value=stale_value,
-            )
-        raise EstimationError(f"unknown method {method!r}")
+        return svc_corr(
+            stale, dirty, clean, query, self.ratio,
+            key=self.view.key, confidence=confidence,
+            stale_value=stale_value,
+        )
 
     def query_groups(
         self,
@@ -157,7 +157,12 @@ class StaleViewCleaner:
         method: str = "corr",
         confidence: float = 0.95,
     ) -> Dict[tuple, Estimate]:
-        """Per-group estimates for a group-by aggregate."""
+        """Per-group estimates for a group-by aggregate.
+
+        ``method`` is ``"corr"`` (default) or ``"aqp"``.
+        """
+        if method not in ("corr", "aqp"):
+            raise EstimationError(f"unknown method {method!r}")
         return estimate_groups(
             method,
             query,
@@ -171,6 +176,10 @@ class StaleViewCleaner:
 
     def query_extreme(self, query: AggQuery):
         """min/max with Cantelli exceedance bounds (§12.1.1)."""
+        if query.func not in ("min", "max"):
+            raise EstimationError(
+                f"query_extreme() answers min/max, not {query.func!r}"
+            )
         fn = svc_max if query.func == "max" else svc_min
         return fn(
             self.view.require_data(), self.dirty_sample, self.clean_sample,

@@ -178,9 +178,9 @@ def _supports_track_kwarg() -> bool:
     Explicit signature inspection, cached per process.  The previous
     detection — a one-element module-level list written on the first
     attach attempt — was exactly the worker-mutated shared-state
-    pattern the invariant linter (REP006) rejects; a cached pure
-    function has no shared mutable slot to race on (a concurrent first
-    call at worst inspects the signature twice).
+    pattern that rule REP006 in ``tests/test_invariants.py`` rejects; a
+    cached pure function has no shared mutable slot to race on (a
+    concurrent first call at worst inspects the signature twice).
     """
     import inspect
 

@@ -61,6 +61,18 @@ class TestWorkflow:
         with pytest.raises(EstimationError):
             svc.query(AggQuery("count"), method="bogus")
 
+    @pytest.mark.parametrize("method", ["bogus", "auto"])
+    @pytest.mark.parametrize("func", ["sum", "count", "median"])
+    def test_group_queries_reject_unknown_methods(self, svc, func, method):
+        with pytest.raises(EstimationError, match=f"unknown method '{method}'"):
+            svc.query_groups(AggQuery(func, "visitCount"), ("ownerId",),
+                             method=method)
+
+    @pytest.mark.parametrize("func", ["sum", "count", "avg", "median"])
+    def test_query_extreme_rejects_non_extreme_funcs(self, svc, func):
+        with pytest.raises(EstimationError, match="min/max"):
+            svc.query_extreme(AggQuery(func, "visitCount"))
+
     def test_advance_after_maintenance(self, svc):
         maintain(svc.view)
         svc.view.database.apply_deltas()
@@ -82,6 +94,21 @@ class TestWithOutlierIndex:
         truth = q.evaluate(stale_visit_view.fresh_data())
         est = cleaner.query(q, method="corr")
         assert relative_error(est.value, truth) < 0.5
+
+    @pytest.mark.parametrize("func", ["sum", "median"])
+    @pytest.mark.parametrize("indexed", [False, True], ids=["plain", "outlier"])
+    def test_unknown_method_raises_on_every_path(
+        self, stale_visit_view, indexed, func
+    ):
+        index = None
+        if indexed:
+            log = stale_visit_view.database.relation("Log")
+            index = OutlierIndex.from_top_k(log, "sessionId", 10)
+        cleaner = StaleViewCleaner(stale_visit_view, ratio=0.5, seed=4,
+                                   outlier_index=index)
+        cleaner.refresh()
+        with pytest.raises(EstimationError, match="unknown method 'bogus'"):
+            cleaner.query(AggQuery(func, "visitCount"), method="bogus")
 
     def test_repr_mentions_outliers(self, stale_visit_view):
         db = stale_visit_view.database
