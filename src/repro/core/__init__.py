@@ -1,11 +1,5 @@
 """SVC core: sampling, push-down, cleaning, estimation, outlier indexing."""
 
-from repro.core.adaptive import (
-    RatioController,
-    adaptive_outlier_threshold,
-    choose_sampling_ratio,
-    expected_ci_width,
-)
 from repro.core.bootstrap import BootstrapEstimate, bootstrap_aqp, bootstrap_corr
 from repro.core.cleaning import (
     CorrespondenceCheck,
@@ -48,10 +42,6 @@ from repro.core.svc import StaleViewCleaner
 __all__ = [
     "AggQuery",
     "BootstrapEstimate",
-    "RatioController",
-    "adaptive_outlier_threshold",
-    "choose_sampling_ratio",
-    "expected_ci_width",
     "CorrespondenceCheck",
     "Estimate",
     "ExtremeEstimate",

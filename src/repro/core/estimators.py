@@ -22,20 +22,20 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.algebra.aggregates import get_aggregate
-from repro.algebra.columnar import group_ids
 from repro.algebra.predicates import ALWAYS, Predicate
 from repro.algebra.relation import Relation
 from repro.core.confidence import (
+    DiffTable,
     Estimate,
-    _keyed_columns,
-    _trans_columns,
-    _try_alignment,
+    Side,
     _try_columns,
-    correspondence_subtract,
-    diff_se,
-    mean_se,
-    sum_se,
-    trans_values,
+    diff_entries,
+    diff_table,
+    group_mean,
+    group_spread,
+    group_sums,
+    ht_se,
+    spread_se,
 )
 from repro.errors import EstimationError
 
@@ -131,36 +131,141 @@ def _as_float(value) -> float:
 
 
 # ----------------------------------------------------------------------
-# SVC+AQP
+# Reductions of the table (see repro.core.confidence.DiffTable), per group
 # ----------------------------------------------------------------------
+def _aqp(table: DiffTable, side: Side, se: bool = True):
+    """``(point, se)`` of SVC+AQP over one side of the table; the SE is
+    None unless asked for."""
+    n = len(table.groups)
+    if table.func == "avg":
+        gid = side.gid if side.gid is None else side.gid[side.hit]
+        if not se:
+            return group_mean(gid, side.t[side.hit], n)[1], None
+        k, mean, ssd = group_spread(gid, side.t[side.hit], n)
+        return mean, spread_se(k, ssd)
+    point = group_sums(side.gid, side.t, n)
+    return point, ht_se(side.gid, side.t, n, table.ratio) if se else None
+
+
+def _diff_se(table: DiffTable):
+    """SE of the correction: Horvitz–Thompson, or of a mean for avg."""
+    gid, diffs = diff_entries(table)
+    n = len(table.groups)
+    if table.func == "avg":
+        k, _, ssd = group_spread(gid, diffs, n)
+        return spread_se(k, ssd)
+    return ht_se(gid, diffs, n, table.ratio)
+
+
+def _corr(table: DiffTable, stale_value):
+    """``(value, se)`` of SVC+CORR: q(S) plus the estimated staleness."""
+    fresh, fresh_se = _aqp(table, table.fresh)
+    was, _ = _aqp(table, table.stale, se=False)
+    correction = fresh - was
+    # Degenerate avg cases (no predicate-matching rows in a sample).
+    # Nothing matches in the clean sample: the stale answer stands.
+    # Rows match in the clean sample only (a group that entered the
+    # sample this period): there is no dirty mean to correct from, so
+    # the direct estimate is the answer, value and SE.
+    degenerate = np.isnan(correction)
+    direct = degenerate & ~np.isnan(fresh)
+    value = np.where(
+        direct, fresh, stale_value + np.where(degenerate, 0.0, correction)
+    )
+    return value, np.where(direct, fresh_se, _diff_se(table))
+
+
+def _recommend(table: DiffTable) -> np.ndarray:
+    """§5.2.2 break-even: "corr" while σ²_diff ≤ σ²_fresh, per group.
+
+    Equivalently σ²_S ≤ 2 cov(S, S'); past the break-even point the
+    direct estimate is more accurate.  Fewer than two values: "corr".
+    """
+    n = len(table.groups)
+
+    def variance(gid, x):  # of the sum of len(x) values
+        k, _, ssd = group_spread(gid, x, n)
+        return k, np.divide(ssd, k - 1, out=np.zeros(n), where=k > 1) * k
+
+    fresh = table.fresh
+    rows = fresh.hit if table.func == "avg" else slice(None)
+    k_diff, var_diff = variance(*diff_entries(table))
+    k_fresh, var_fresh = variance(
+        fresh.gid if fresh.gid is None else fresh.gid[rows], fresh.t[rows])
+    corr = (k_diff < 2) | (k_fresh < 2) | (var_diff <= var_fresh)
+    return np.where(corr, "corr", "aqp")
+
+
+def merge_strata(sampled: DiffTable, exact: DiffTable,
+                 stale_value: Optional[float] = None):
+    """``(value, se)`` of one estimate from the sampled stratum and the
+    exact one — the outlier rows, a table at ratio 1 (§6.3).
+
+    sum/count add the strata; the exact one has no variance.  avg
+    weighs each stratum's mean (0 when empty) by its share of the
+    estimated matching rows W = Σ_reg 1/m + n_out, which is the ratio
+    form v = (Σ_reg v/m + Σ_out v) / W.  With ``stale_value`` the same
+    weights merge the per-stratum corrections into q(S) + c.
+    """
+    avg = sampled.func == "avg"
+
+    def aqp(table, side, se=False):
+        point, err = _aqp(table, side, se)
+        return 0.0 if avg and not side.hit.any() else float(point[0]), err
+
+    reg, reg_se = aqp(sampled, sampled.fresh, se=avg or stale_value is None)
+    out, _ = aqp(exact, exact.fresh)
+    if stale_value is not None:
+        reg -= aqp(sampled, sampled.stale)[0]
+        out -= aqp(exact, exact.stale)[0]
+    if not avg:
+        if stale_value is None:
+            return reg + out, float(reg_se[0])
+        return stale_value + reg + out, float(_diff_se(sampled)[0])
+    n_out = np.count_nonzero(exact.fresh.hit)
+    total = np.count_nonzero(sampled.fresh.hit) / sampled.ratio + n_out
+    if total <= 0:
+        raise EstimationError("no rows satisfy the query condition")
+    share = n_out / total
+    value = (1 - share) * reg + share * out
+    if stale_value is not None:
+        value = stale_value + value
+    return float(value), float(reg_se[0]) * float(1 - share)
+
+
+# ----------------------------------------------------------------------
+# Entry points
+# ----------------------------------------------------------------------
+def _sample_mean(query: AggQuery, who: str) -> None:
+    if query.func not in SAMPLE_MEAN_FUNCS:
+        raise EstimationError(
+            f"{who} bounds sample means; use bootstrap/extremes for "
+            f"{query.func!r}"
+        )
+
+
+def _view_key(clean: Relation, dirty: Relation, key) -> Sequence[str]:
+    if key is None:
+        key = clean.key or dirty.key
+    if not key:
+        raise EstimationError("svc_corr requires the view primary key")
+    return key
+
+
 def svc_aqp(
     clean_sample: Relation,
     query: AggQuery,
     ratio: float,
     confidence: float = 0.95,
-    se_method: str = "ht",
 ) -> Estimate:
     """Direct estimate from the clean sample (paper §5.1, SVC+AQP)."""
-    if query.func not in SAMPLE_MEAN_FUNCS:
-        raise EstimationError(
-            f"svc_aqp bounds sample means; use bootstrap/extremes for "
-            f"{query.func!r}"
-        )
-    values = trans_values(clean_sample, query, ratio)
-    if query.func == "avg":
-        point = float(values.mean()) if len(values) else float("nan")
-        se = mean_se(values)
-    else:
-        point = float(values.sum())
-        se = sum_se(values, ratio, se_method)
-    return Estimate(
-        point, se, confidence, method="SVC+AQP", sample_rows=len(clean_sample)
-    )
+    _sample_mean(query, "svc_aqp")
+    table = diff_table(query, ratio, clean_sample)
+    point, se = _aqp(table, table.fresh)
+    return Estimate(float(point[0]), float(se[0]), confidence,
+                    method="SVC+AQP", sample_rows=len(clean_sample))
 
 
-# ----------------------------------------------------------------------
-# SVC+CORR
-# ----------------------------------------------------------------------
 def svc_corr(
     stale_view: Relation,
     dirty_sample: Relation,
@@ -169,7 +274,6 @@ def svc_corr(
     ratio: float,
     key: Sequence[str] = None,
     confidence: float = 0.95,
-    se_method: str = "ht",
     stale_value: Optional[float] = None,
 ) -> Estimate:
     """Correction estimate (paper §5.1, SVC+CORR).
@@ -177,48 +281,16 @@ def svc_corr(
     ``stale_value`` may pass a precomputed q(S) to avoid rescanning the
     full view for every query in a sweep.
     """
-    if query.func not in SAMPLE_MEAN_FUNCS:
-        raise EstimationError(
-            f"svc_corr bounds sample means; use bootstrap/extremes for "
-            f"{query.func!r}"
-        )
-    if key is None:
-        key = clean_sample.key or dirty_sample.key
-    if not key:
-        raise EstimationError("svc_corr requires the view primary key")
+    _sample_mean(query, "svc_corr")
+    key = _view_key(clean_sample, dirty_sample, key)
     if stale_value is None:
         stale_value = query.evaluate(stale_view)
-
-    fresh_est = svc_aqp(clean_sample, query, ratio, confidence, se_method)
-    stale_est = svc_aqp(dirty_sample, query, ratio, confidence, se_method)
-    correction = fresh_est.value - stale_est.value
-    if np.isnan(correction):
-        # Degenerate avg cases (no predicate-matching rows in a sample).
-        # Nothing matches in the clean sample: the stale answer stands.
-        # Rows match in the clean sample only (a group that entered the
-        # sample this period): there is no dirty mean to correct from,
-        # so the direct estimate is the answer, value and SE.
-        if not np.isnan(fresh_est.value):
-            return Estimate(
-                fresh_est.value, fresh_est.se, confidence,
-                method="SVC+CORR", sample_rows=len(clean_sample),
-            )
-        correction = 0.0
-
-    diffs = correspondence_subtract(clean_sample, dirty_sample, query, ratio, key)
-    se = diff_se(diffs, ratio, query.func, se_method)
-    return Estimate(
-        stale_value + correction,
-        se,
-        confidence,
-        method="SVC+CORR",
-        sample_rows=len(clean_sample),
-    )
+    table = diff_table(query, ratio, clean_sample, dirty_sample, key)
+    value, se = _corr(table, stale_value)
+    return Estimate(float(value[0]), float(se[0]), confidence,
+                    method="SVC+CORR", sample_rows=len(clean_sample))
 
 
-# ----------------------------------------------------------------------
-# Group-by variants
-# ----------------------------------------------------------------------
 def partition(rel: Relation, group_by: Sequence[str]) -> Dict[tuple, Relation]:
     """Split a relation into per-group sub-relations."""
     idx = rel.schema.indexes(group_by)
@@ -243,234 +315,47 @@ def estimate_groups(
 ) -> Dict[tuple, Estimate]:
     """Per-group estimates for a group-by aggregate query.
 
-    ``method`` is ``"aqp"`` or ``"corr"``.  Groups present in the stale
+    ``method`` is ``"aqp"``, ``"corr"`` or ``"auto"`` (the §5.2.2
+    break-even choice, group by group).  Groups present in the stale
     view but absent from both samples get a zero correction (CORR) — the
     stale value stands; AQP reports no estimate for groups it never saw.
     """
-    fast = _try_estimate_groups_columns(
-        method, query, group_by, ratio, clean_sample,
-        dirty_sample, stale_view, confidence,
-    )
-    if fast is not None:
-        return fast
-    clean_parts = partition(clean_sample, group_by)
     if query.func not in SAMPLE_MEAN_FUNCS:
         return _point_estimate_groups(
-            method, query, ratio, clean_parts,
+            "corr" if method == "auto" else method, query, ratio,
+            partition(clean_sample, group_by),
             partition(dirty_sample, group_by) if dirty_sample is not None else {},
             partition(stale_view, group_by) if stale_view is not None else {},
             confidence,
         )
     if method == "aqp":
-        return {
-            g: svc_aqp(part, query, ratio, confidence)
-            for g, part in clean_parts.items()
-        }
-    if method != "corr":
+        table = diff_table(query, ratio, clean_sample, group_by=group_by)
+        value, se = _aqp(table, table.fresh)
+        direct = np.ones(len(value), dtype=bool)
+    elif method in ("corr", "auto"):
+        if dirty_sample is None or stale_view is None:
+            raise EstimationError(
+                "corr estimation needs dirty sample + stale view")
+        key = _view_key(clean_sample, dirty_sample, None)
+        table = diff_table(query, ratio, clean_sample, dirty_sample, key,
+                           group_by, stale_view)
+        value, se = _corr(table, table.stale_value)
+        direct = np.zeros(len(value), dtype=bool)
+        if method == "auto":
+            direct = _recommend(table) == "aqp"
+            aqp_value, aqp_se = _aqp(table, table.fresh)
+            value = np.where(direct, aqp_value, value)
+            se = np.where(direct, aqp_se, se)
+    else:
         raise EstimationError(f"unknown estimation method {method!r}")
-    if dirty_sample is None or stale_view is None:
-        raise EstimationError("corr estimation needs dirty sample + stale view")
-
-    dirty_parts = partition(dirty_sample, group_by)
-    stale_parts = partition(stale_view, group_by)
-    key = clean_sample.key or dirty_sample.key
-    empty = Relation(clean_sample.schema, [], key=key)
-
-    out: Dict[tuple, Estimate] = {}
-    for g in set(clean_parts) | set(dirty_parts) | set(stale_parts):
-        stale_part = stale_parts.get(g)
-        stale_value = query.evaluate(stale_part) if stale_part is not None else 0.0
-        out[g] = svc_corr(
-            stale_part if stale_part is not None else empty,
-            dirty_parts.get(g, empty),
-            clean_parts.get(g, empty),
-            query,
-            ratio,
-            key=key,
-            confidence=confidence,
-            stale_value=stale_value,
-        )
-    return out
-
-
-# Group-by on the batch kernel: one kernel result per relation, one set
-# of group ids shared by the three relations, and every per-group
-# reduction of svc_aqp / svc_corr as a bincount over those ids.  The
-# loop above — one svc_corr per group — is its fallback and its oracle.
-def _shared_group_ids(rels: Sequence[Relation], group_by: Sequence[str]):
-    """Per-relation group ids over one numbering, and the group keys.
-
-    Groups are numbered by first appearance, relation after relation;
-    keys meet in a Python dict, so they match as the row path's do.
-    """
-    index: Dict[tuple, int] = {}
-    gids = []
-    for rel in rels:
-        rel.schema.indexes(group_by)
-        gid, keys = group_ids(rel.columnar(), group_by)
-        shared = np.fromiter(
-            (index.setdefault(k, len(index)) for k in keys),
-            dtype=np.intp, count=len(keys),
-        )
-        gids.append(shared[gid])
-    return gids, list(index)
-
-
-def _group_sums(gid: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
-    """Per-group sums in row order; integer and bool columns stay exact."""
-    if values.dtype.kind == "f":
-        return np.bincount(gid, weights=values, minlength=n_groups)
-    out = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(out, gid, values.astype(np.int64))
-    return out
-
-
-def _group_mean_se(gid: np.ndarray, values: np.ndarray, n_groups: int):
-    """Per-group ``(mean, mean_se)``: (NaN, inf) when empty, SE 0 for one."""
-    k = np.bincount(gid, minlength=n_groups)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.bincount(gid, weights=values, minlength=n_groups) / k
-        dev = values - mean[gid]
-        ssd = np.bincount(gid, weights=dev * dev, minlength=n_groups)
-        se = np.sqrt(ssd / (k - 1)) / np.sqrt(k)
-    se[k == 1] = 0.0
-    se[k == 0] = np.inf
-    return mean, se
-
-
-def _group_sum_se(gid: np.ndarray, values: np.ndarray, n_groups: int, ratio: float):
-    """Per-group :func:`sum_se` (Horvitz–Thompson) of trans/diff values."""
-    squares = np.bincount(gid, weights=values * values, minlength=n_groups)
-    return np.sqrt(np.fmax(0.0, (1.0 - ratio) * squares))
-
-
-def _group_aqp(cols, gid: np.ndarray, n_groups: int, func: str, ratio: float):
-    """``(point, se)`` of :func:`svc_aqp` for every group of one sample."""
-    mask, values = cols
-    if func == "avg":
-        return _group_mean_se(gid[mask], values[mask].astype(float), n_groups)
-    trans = _trans_columns(mask, values, func, ratio)
-    return (
-        np.bincount(gid, weights=trans, minlength=n_groups),
-        _group_sum_se(gid, trans, n_groups, ratio),
-    )
-
-
-def _group_exact(cols, gid: np.ndarray, n_groups: int, func: str) -> np.ndarray:
-    """:meth:`AggQuery.evaluate` for every group; 0 for a group not in it."""
-    mask, values = cols
-    matched = gid[mask]
-    counts = np.bincount(matched, minlength=n_groups)
-    if func == "count":
-        return counts.astype(float)
-    sums = _group_sums(matched, values[mask], n_groups)
-    if func == "sum":
-        return sums.astype(float)
-    out = np.array(
-        [s / k if k else float("nan")
-         for s, k in zip(sums.tolist(), counts.tolist())],
-        dtype=float,
-    )
-    out[np.bincount(gid, minlength=n_groups) == 0] = 0.0
-    return out
-
-
-def _group_diffs(clean_cols, dirty_cols, clean_gid, dirty_gid, alignment,
-                 func: str, ratio: float):
-    """The diff tables of every group at once: ``(group ids, values)``.
-
-    A key present in the same group on both sides is one entry
-    ``clean − dirty``; a key on one side only — or whose row changed
-    group — is ``clean − 0`` in the clean row's group and ``0 − dirty``
-    in the dirty row's, exactly what the per-group key unions give.
-    """
-    n_keys, clean_pos, dirty_pos = alignment
-    clean_val = np.zeros(n_keys)
-    dirty_val = np.zeros(n_keys)
-    clean_grp = np.full(n_keys, -1, dtype=np.intp)
-    dirty_grp = np.full(n_keys, -1, dtype=np.intp)
-    clean_val[clean_pos] = _keyed_columns(*clean_cols, func, ratio)
-    dirty_val[dirty_pos] = _keyed_columns(*dirty_cols, func, ratio)
-    clean_grp[clean_pos] = clean_gid
-    dirty_grp[dirty_pos] = dirty_gid
-    same = clean_grp == dirty_grp  # never both -1: every slot has a row
-    clean_only = (clean_grp >= 0) & ~same
-    dirty_only = (dirty_grp >= 0) & ~same
-    return (
-        np.concatenate(
-            [clean_grp[same], clean_grp[clean_only], dirty_grp[dirty_only]]
-        ),
-        np.concatenate(
-            [(clean_val - dirty_val)[same], clean_val[clean_only],
-             0.0 - dirty_val[dirty_only]]
-        ),
-    )
-
-
-def _try_estimate_groups_columns(
-    method: str,
-    query: AggQuery,
-    group_by: Sequence[str],
-    ratio: float,
-    clean: Relation,
-    dirty: Optional[Relation],
-    stale: Optional[Relation],
-    confidence: float,
-) -> Optional[Dict[tuple, Estimate]]:
-    """:func:`estimate_groups` for sum/count/avg without per-group relations.
-
-    None — the per-group loop decides, or raises — for anything but a
-    well-formed aqp/corr call and when a relation's kernel result or the
-    sample pair's alignment is unavailable.
-    """
-    func = query.func
-    if func not in SAMPLE_MEAN_FUNCS or not (group_by and ratio):
-        return None
-    if method == "aqp":
-        rels = [clean]
-    elif method == "corr" and dirty is not None and stale is not None:
-        rels = [clean, dirty, stale]
-    else:
-        return None
-    kernel = []
-    for rel in rels:
-        cols = _try_columns(rel, query)
-        if cols is None:
-            return None
-        kernel.append(cols)
-    if method == "corr":
-        key = clean.key or dirty.key
-        alignment = _try_alignment(clean, dirty, key) if key else None
-        if alignment is None:
-            return None
-    gids, groups = _shared_group_ids(rels, group_by)
-    n_groups = len(groups)
-    fresh, fresh_se = _group_aqp(kernel[0], gids[0], n_groups, func, ratio)
-    if method == "aqp":
-        label, value, se = "SVC+AQP", fresh, fresh_se
-    else:
-        label = "SVC+CORR"
-        was, _ = _group_aqp(kernel[1], gids[1], n_groups, func, ratio)
-        correction = fresh - was
-        degenerate = np.isnan(correction)  # the avg cases of svc_corr
-        direct = degenerate & ~np.isnan(fresh)
-        stale_value = _group_exact(kernel[2], gids[2], n_groups, func)
-        entry_gid, entries = _group_diffs(
-            kernel[0], kernel[1], gids[0], gids[1], alignment, func, ratio
-        )
-        if func == "avg":
-            _, se = _group_mean_se(entry_gid, entries, n_groups)
-        else:
-            se = _group_sum_se(entry_gid, entries, n_groups, ratio)
-        value = np.where(
-            direct, fresh, stale_value + np.where(degenerate, 0.0, correction)
-        )
-        se = np.where(direct, fresh_se, se)
-    rows = np.bincount(gids[0], minlength=n_groups)
+    gid = table.fresh.gid
+    rows = (np.bincount(gid, minlength=len(table.groups)) if gid is not None
+            else np.array([len(clean_sample)]))
     return {
         g: Estimate(v, s, confidence, method=label, sample_rows=r)
-        for g, v, s, r in zip(
-            groups, value.tolist(), se.tolist(), rows.tolist()
+        for g, v, s, label, r in zip(
+            table.groups, value.tolist(), se.tolist(),
+            np.where(direct, "SVC+AQP", "SVC+CORR").tolist(), rows.tolist(),
         )
     }
 
@@ -527,18 +412,8 @@ def recommend_estimator(
     ratio: float,
     key: Sequence[str] = None,
 ) -> str:
-    """Pick "corr" or "aqp" from the break-even analysis of §5.2.2.
-
-    The correction wins while σ²_diff ≤ σ²_fresh (equivalently
-    σ²_S ≤ 2 cov(S, S')); past the break-even point the direct estimate
-    is more accurate.
-    """
+    """Pick "corr" or "aqp" from the break-even analysis of §5.2.2."""
     if key is None:
         key = clean_sample.key or dirty_sample.key
-    diffs = correspondence_subtract(clean_sample, dirty_sample, query, ratio, key)
-    fresh = trans_values(clean_sample, query, ratio)
-    if len(diffs) < 2 or len(fresh) < 2:
-        return "corr"
-    var_diff = float(np.var(diffs, ddof=1)) * len(diffs)
-    var_fresh = float(np.var(fresh, ddof=1)) * len(fresh)
-    return "corr" if var_diff <= var_fresh else "aqp"
+    table = diff_table(query, ratio, clean_sample, dirty_sample, key)
+    return str(_recommend(table)[0])

@@ -26,14 +26,8 @@ from repro.algebra.evaluator import columnar_enabled, evaluate
 from repro.algebra.expressions import Aggregate, distinct
 from repro.algebra.relation import Relation
 from repro.core.cleaning import SampleView
-from repro.core.confidence import (
-    Estimate,
-    correspondence_subtract,
-    diff_se,
-    mean_se,
-    trans_values,
-)
-from repro.core.estimators import AggQuery, svc_aqp
+from repro.core.confidence import Estimate, diff_table
+from repro.core.estimators import SAMPLE_MEAN_FUNCS, AggQuery, merge_strata
 from repro.core.pushdown import (
     PushdownReport,
     hashed_leaves,
@@ -321,21 +315,27 @@ class OutlierAugmentedSample:
             raise EstimationError("call clean() before estimating")
 
     # ------------------------------------------------------------------
+    def _strata(self, query: AggQuery, stale_out: Optional[Relation] = None):
+        """The table of the sampled stratum and that of the exact one, O at
+        ratio 1 (§6.3).  With ``stale_out``, each against its stale side:
+        the regular dirty sample, and S's outlier part."""
+        reg_clean, _ = self._split(self.sample.clean_sample)
+        reg_dirty = None
+        if stale_out is not None:
+            reg_dirty, _ = self._split(self.sample.dirty_sample)
+        key = self.view.key
+        return (diff_table(query, self.ratio, reg_clean, reg_dirty, key),
+                diff_table(query, 1.0, self.outlier_rows, stale_out, key))
+
     def aqp(self, query: AggQuery, confidence: float = 0.95) -> Estimate:
         """SVC+AQP merged with the deterministic outlier set (§6.3)."""
         self._require()
-        reg_clean, _ = self._split(self.sample.clean_sample)
-        out_rows = self.outlier_rows
-        if query.func in ("sum", "count"):
-            reg_est = svc_aqp(reg_clean, query, self.ratio, confidence)
-            exact = query.evaluate(out_rows)
-            return Estimate(
-                reg_est.value + exact, reg_est.se, confidence,
-                method="SVC+AQP+Out", sample_rows=reg_est.sample_rows,
-            )
-        if query.func == "avg":
-            return self._merged_avg(query, confidence, corr=False)
-        raise EstimationError(f"outlier AQP unsupported for {query.func!r}")
+        if query.func not in SAMPLE_MEAN_FUNCS:
+            raise EstimationError(f"outlier AQP unsupported for {query.func!r}")
+        sampled, exact = self._strata(query)
+        value, se = merge_strata(sampled, exact)
+        return Estimate(value, se, confidence, method="SVC+AQP+Out",
+                        sample_rows=len(sampled.fresh.t))
 
     def corr(
         self, query: AggQuery, confidence: float = 0.95,
@@ -351,67 +351,10 @@ class OutlierAugmentedSample:
         stale = self.view.require_data()
         if stale_value is None:
             stale_value = query.evaluate(stale)
-        if query.func in ("sum", "count"):
-            reg_clean, _ = self._split(self.sample.clean_sample)
-            reg_dirty, _ = self._split(self.sample.dirty_sample)
-            _, stale_out = self._split(stale)
-            c_reg_clean = svc_aqp(reg_clean, query, self.ratio, confidence)
-            c_reg_dirty = svc_aqp(reg_dirty, query, self.ratio, confidence)
-            c_reg = c_reg_clean.value - c_reg_dirty.value
-            c_out = query.evaluate(self.outlier_rows) - query.evaluate(stale_out)
-            diffs = correspondence_subtract(
-                reg_clean, reg_dirty, query, self.ratio, self.view.key
-            )
-            se = diff_se(diffs, self.ratio, query.func)
-            return Estimate(
-                stale_value + c_reg + c_out, se, confidence,
-                method="SVC+CORR+Out", sample_rows=len(reg_clean),
-            )
-        if query.func == "avg":
-            return self._merged_avg(query, confidence, corr=True,
-                                    stale_value=stale_value)
-        raise EstimationError(f"outlier CORR unsupported for {query.func!r}")
-
-    def _merged_avg(
-        self, query: AggQuery, confidence: float, corr: bool,
-        stale_value: Optional[float] = None,
-    ) -> Estimate:
-        """§6.3 weighted merge  v = (N−l)/N·v_reg + l/N·v_out  for avg."""
-        reg_clean, _ = self._split(self.sample.clean_sample)
-        out_vals = query.matching_values(self.outlier_rows)
-        n_out = len(out_vals)
-        v_out = float(out_vals.mean()) if n_out else 0.0
-
-        reg_vals = trans_values(reg_clean, query, self.ratio)
-        count_q = AggQuery("count", predicate=query.predicate)
-        n_reg_est = svc_aqp(reg_clean, count_q, self.ratio, confidence).value
-        total_n = n_reg_est + n_out
-        if total_n <= 0:
-            raise EstimationError("no rows satisfy the query condition")
-
-        if corr:
-            reg_dirty, _ = self._split(self.sample.dirty_sample)
-            stale = self.view.require_data()
-            _, stale_out = self._split(stale)
-            if stale_value is None:
-                stale_value = query.evaluate(stale)
-            clean_avg = float(reg_vals.mean()) if len(reg_vals) else 0.0
-            dirty_vals = trans_values(reg_dirty, query, self.ratio)
-            dirty_avg = float(dirty_vals.mean()) if len(dirty_vals) else 0.0
-            c_reg = clean_avg - dirty_avg
-            stale_out_vals = query.matching_values(stale_out)
-            v_out_stale = float(stale_out_vals.mean()) if len(stale_out_vals) else 0.0
-            c_out = v_out - v_out_stale
-            weight_out = n_out / total_n
-            correction = (1 - weight_out) * c_reg + weight_out * c_out
-            return Estimate(
-                stale_value + correction, mean_se(reg_vals) * (1 - weight_out),
-                confidence, method="SVC+CORR+Out", sample_rows=len(reg_clean),
-            )
-        v_reg = float(reg_vals.mean()) if len(reg_vals) else 0.0
-        weight_out = n_out / total_n
-        value = (1 - weight_out) * v_reg + weight_out * v_out
-        return Estimate(
-            value, mean_se(reg_vals) * (1 - weight_out), confidence,
-            method="SVC+AQP+Out", sample_rows=len(reg_clean),
-        )
+        if query.func not in SAMPLE_MEAN_FUNCS:
+            raise EstimationError(f"outlier CORR unsupported for {query.func!r}")
+        _, stale_out = self._split(stale)
+        sampled, exact = self._strata(query, stale_out)
+        value, se = merge_strata(sampled, exact, stale_value)
+        return Estimate(value, se, confidence, method="SVC+CORR+Out",
+                        sample_rows=len(sampled.fresh.t))

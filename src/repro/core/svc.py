@@ -159,9 +159,10 @@ class StaleViewCleaner:
     ) -> Dict[tuple, Estimate]:
         """Per-group estimates for a group-by aggregate.
 
-        ``method`` is ``"corr"`` (default) or ``"aqp"``.
+        ``method`` is ``"corr"`` (default), ``"aqp"``, or ``"auto"``
+        (break-even selection per §5.2.2, group by group).
         """
-        if method not in ("corr", "aqp"):
+        if method not in ("corr", "aqp", "auto"):
             raise EstimationError(f"unknown method {method!r}")
         return estimate_groups(
             method,

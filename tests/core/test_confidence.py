@@ -9,13 +9,11 @@ from repro.algebra import Relation, Schema, col
 from repro.core.confidence import (
     Estimate,
     correspondence_subtract,
-    diff_se,
-    keyed_trans,
     mean_se,
     sum_se,
     trans_values,
 )
-from repro.core.estimators import AggQuery
+from repro.core.estimators import AggQuery, svc_aqp, svc_corr
 from repro.errors import EstimationError
 
 SCHEMA = Schema(["k", "v"])
@@ -42,10 +40,11 @@ class TestTransTables:
         with pytest.raises(EstimationError):
             trans_values(REL, AggQuery("median", "v"), 0.5)
 
-    def test_keyed_trans(self):
+    def test_keyed_trans_against_an_empty_sample(self):
         q = AggQuery("sum", "v")
-        table = keyed_trans(REL, q, 0.5, ("k",))
-        assert table == {(1,): 20.0, (2,): 40.0, (3,): 60.0}
+        empty = Relation(SCHEMA, [], key=("k",))
+        diffs = correspondence_subtract(REL, empty, q, 0.5, ("k",))
+        assert list(diffs) == [20.0, 40.0, 60.0]
 
 
 class TestCorrespondenceSubtract:
@@ -69,10 +68,6 @@ class TestStandardErrors:
         values = np.full(10, 5.0)
         assert sum_se(values, 0.5) > 0
 
-    def test_paper_se_constant_values_is_zero(self):
-        values = np.full(10, 5.0)
-        assert sum_se(values, 0.5, se_method="paper") == 0.0
-
     def test_ht_se_zero_at_full_ratio(self):
         values = np.array([1.0, 2.0])
         assert sum_se(values, 1.0) == pytest.approx(0.0)
@@ -86,16 +81,35 @@ class TestStandardErrors:
         expected = values.std(ddof=1) / math.sqrt(4)
         assert mean_se(values) == pytest.approx(expected)
 
-    def test_diff_se_dispatch(self):
-        diffs = np.array([1.0, -1.0, 0.0])
-        assert diff_se(diffs, 0.5, "sum") == sum_se(diffs, 0.5)
-        assert diff_se(diffs, 0.5, "avg") == mean_se(diffs)
-        with pytest.raises(EstimationError):
-            diff_se(diffs, 0.5, "median")
+    @pytest.mark.parametrize("func", ["sum", "count", "avg"])
+    def test_correction_se_by_func(self, func):
+        """CORR's SE is HT over the diffs for sum/count, a mean's for avg."""
+        clean = Relation(SCHEMA, [(1, 12.0), (2, 20.0), (4, 45.0), (5, 7.0)],
+                         key=("k",))
+        dirty = Relation(SCHEMA, [(1, 10.0), (2, 20.0), (3, 30.0), (5, 9.0)],
+                         key=("k",))
+        q = AggQuery(func, None if func == "count" else "v")
+        diffs = correspondence_subtract(clean, dirty, q, 0.5, ("k",))
+        est = svc_corr(REL, dirty, clean, q, 0.5, key=("k",))
+        want = mean_se(diffs) if func == "avg" else sum_se(diffs, 0.5)
+        assert est.se == pytest.approx(want, rel=1e-12)
+        assert est.se > 0
 
-    def test_unknown_se_method(self):
+    def test_correction_se_rejects_holistic_funcs(self):
         with pytest.raises(EstimationError):
-            sum_se(np.array([1.0]), 0.5, se_method="magic")
+            svc_corr(REL, REL, REL, AggQuery("median", "v"), 0.5, key=("k",))
+
+    @pytest.mark.parametrize("call", [
+        lambda: sum_se(np.array([1.0]), 0.5, se_method="ht"),
+        lambda: svc_aqp(REL, AggQuery("sum", "v"), 0.5, se_method="ht"),
+        lambda: svc_corr(REL, REL, REL, AggQuery("sum", "v"), 0.5,
+                         key=("k",), se_method="ht"),
+    ], ids=["sum_se", "svc_aqp", "svc_corr"])
+    def test_se_method_option_is_gone(self, call):
+        """Horvitz–Thompson is the only SE; there is no switch."""
+        with pytest.raises(TypeError, match="se_method"):
+            call()
+
 
 
 class TestEstimateContainer:

@@ -61,12 +61,20 @@ class TestWorkflow:
         with pytest.raises(EstimationError):
             svc.query(AggQuery("count"), method="bogus")
 
-    @pytest.mark.parametrize("method", ["bogus", "auto"])
+    @pytest.mark.parametrize("method", ["bogus"])
     @pytest.mark.parametrize("func", ["sum", "count", "median"])
     def test_group_queries_reject_unknown_methods(self, svc, func, method):
         with pytest.raises(EstimationError, match=f"unknown method '{method}'"):
             svc.query_groups(AggQuery(func, "visitCount"), ("ownerId",),
                              method=method)
+
+    @pytest.mark.parametrize("func", ["sum", "count", "avg"])
+    def test_group_queries_accept_auto(self, svc, func):
+        query = AggQuery(func, None if func == "count" else "visitCount")
+        auto = svc.query_groups(query, ("ownerId",), method="auto")
+        corr = svc.query_groups(query, ("ownerId",), method="corr")
+        assert auto and set(auto) == set(corr)
+        assert {e.method for e in auto.values()} <= {"SVC+AQP", "SVC+CORR"}
 
     @pytest.mark.parametrize("func", ["sum", "count", "avg", "median"])
     def test_query_extreme_rejects_non_extreme_funcs(self, svc, func):

@@ -278,7 +278,10 @@ MUTATORS = frozenset({
 def import_aliases(module):
     """Names bound by top-level imports -> the dotted target they mean."""
     aliases = {}
-    package = module.name.rsplit(".", 1)[0] if "." in module.name else ""
+    # A package's __init__ is the package: ``from .m`` is one of its modules.
+    package = module.name.split(".")
+    if not module.path.endswith("__init__.py"):
+        package = package[:-1]
     for stmt in module.tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
@@ -287,8 +290,7 @@ def import_aliases(module):
         elif isinstance(stmt, ast.ImportFrom):
             base = stmt.module or ""
             if stmt.level:
-                parts = module.name.split(".")
-                parts = parts[: len(parts) - stmt.level] or [package]
+                parts = package[: len(package) - stmt.level + 1]
                 base = ".".join(parts + ([base] if base else []))
             for alias in stmt.names:
                 aliases[alias.asname or alias.name] = f"{base}.{alias.name}"
@@ -462,7 +464,10 @@ def test_every_inline_marker_silences_a_live_finding(src_modules):
 
 # --- Seeded cases: {module name: source} -> the rules that must fire ----
 def lint(sources):
-    modules = [Module(name, name.replace(".", "/") + ".py", textwrap.dedent(src))
+    """Findings of ``{module name: source}``; a ``pkg.__init__`` name is
+    the package ``pkg``, parsed from ``pkg/__init__.py``."""
+    modules = [Module(name.removesuffix(".__init__"),
+                      name.replace(".", "/") + ".py", textwrap.dedent(src))
                for name, src in sources.items()]
     return sorted(rule for _, _, rule, _ in check(modules))
 
@@ -661,6 +666,18 @@ CASES = {
                 _SEEN.discard(blob)
         """,
     }, ["REP006", "REP006"]),
+    "rep006-follows-package-relative-imports": ({
+        "repro.distributed.shard.__init__": """
+            from .tasks import handle
+            def _run_worker_blob(blob):
+                return handle(blob)
+        """,
+        "repro.distributed.shard.tasks": """
+            _SEEN = set()
+            def handle(blob):
+                _SEEN.add(blob)
+        """,
+    }, ["REP006"]),
     "rep006-global-rebind": ({"repro.distributed.shard": """
         _STATE = {}
         def _run_local_task(task):
