@@ -21,24 +21,20 @@ execution backend:
   ``1`` → ``1.0`` next to floats, everything → ``str`` next to strings)
   fall back to object dtype instead.  This is the null-aware fallback
   that keeps :meth:`~repro.algebra.predicates.Predicate.mask` and
-  :func:`group_ids` identical to the row path even over outer-join
+  :func:`key_groups` identical to the row path even over outer-join
   outputs whose padding drops columns to object dtype.
-* :func:`group_ids` — dense group identifiers for a group-by key, in
-  first-appearance order (exactly the order the row-at-a-time dict
-  grouping produces), via ``np.unique`` when the key columns are
-  integer/bool/string and a Python dict otherwise.
+* :func:`pack` / :func:`dense` — the one key coder.  Wherever rows are
+  matched on a key (γ's groups, the hash join, the change-table merge,
+  set operators, the alignment of Ŝ′ with Ŝ, a relation's
+  :class:`~repro.algebra.relation.KeyIndex`), :func:`pack` codes the
+  key columns of every side into one order-preserving int64 per row,
+  equal exactly where the row path's dict would equate the key tuples,
+  or refuses (:func:`key_code` maps one key tuple the same way), and
+  :func:`dense` renumbers those codes densely by first appearance.
+  :func:`key_groups` is γ's use of the pair, with the row path's dict
+  grouping for a key the coder refuses.
 * :func:`grouped_starts` — the stable-sorted order and per-group start
   offsets that feed ``np.ufunc.reduceat``-style grouped reductions.
-* :func:`factorize_key_codes` — dense integer key codes for a pair of
-  batches over (possibly multi-column) key attributes: one ``np.unique``
-  over the concatenated values per column pair, re-factorized for
-  multi-column keys.  The vectorized hash join builds/probes on these
-  codes and the columnar change-table merge matches stale-view rows to
-  change rows with them — both share the same fallback triggers.
-* :func:`int_key_radix` / :func:`pack_int_key` — the one mixed-radix
-  packer of machine-integer keys into int64 codes, shared by
-  :class:`~repro.algebra.relation.KeyIndex` and the set operators'
-  candidate search.
 * :func:`patch_column` / :meth:`ColumnarRelation.patched` — how a base
   relation's built columns survive a maintenance period: the successor
   batch is patched from its predecessor's arrays (surviving positions +
@@ -77,10 +73,13 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
+
+from repro.algebra.predicates import _FLOAT_EXACT, _INT64_SAFE, _int_bound
 
 __all__ = [
     "ColumnSpec",
@@ -89,25 +88,18 @@ __all__ = [
     "column_to_array",
     "concat_column_parts",
     "concat_columns",
-    "factorize_key_codes",
-    "group_ids",
+    "dense",
     "grouped_starts",
-    "int_key_radix",
+    "key_code",
+    "key_groups",
     "object_array",
+    "pack",
     "pack_column_buffers",
-    "pack_int_key",
     "patch_column",
     "rows_at",
     "scatter_column",
     "write_column_buffers",
 ]
-
-#: dtype kinds that vectorize for arithmetic/comparison fast paths.
-NUMERIC_KINDS = "biuf"
-
-#: dtype kinds safe for exact group-key round-tripping (no int/float or
-#: precision collapse): bool, signed/unsigned int, unicode, bytes.
-GROUPABLE_KINDS = "biuUS"
 
 #: Python value types whose round trip through a typed numpy array of the
 #: matching kind is exact (``tolist`` restores an equal value of the same
@@ -496,59 +488,187 @@ class ColumnarRelation:
         )
 
 
-def _first_appearance(uniq, first, inv):
-    """Remap ``np.unique`` output (sorted order) to first-appearance order."""
-    perm = np.argsort(first, kind="stable")
-    rank = np.empty(len(perm), dtype=np.intp)
-    rank[perm] = np.arange(len(perm), dtype=np.intp)
-    gid = rank[np.asarray(inv).reshape(-1)]
-    return gid, uniq[perm]
+def _exact_int(value) -> Optional[int]:
+    """The int a dict lookup would equate ``value`` with, if any
+    (``3.0`` and ``True`` find the key ``3`` / ``1``; ``"3"`` does not)."""
+    if type(value) is int:
+        return value
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
 
 
-def group_ids(cols: ColumnarRelation, names: Sequence[str]):
-    """Dense group ids + group-key tuples for a group-by key.
+def _find(ordered: np.ndarray, value) -> Optional[int]:
+    """The position of ``value`` in the sorted array ``ordered``, or None."""
+    if value is None:
+        return None
+    try:
+        at = int(ordered.searchsorted(value))
+        return at if at < len(ordered) and ordered[at] == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
 
-    Returns ``(gid, group_keys)`` where ``gid[i]`` is the group of row
-    ``i`` and ``group_keys[g]`` is the key tuple of group ``g``; groups
-    are numbered in first-appearance (row) order, matching the dict
-    grouping of the row-at-a-time path.  Because :func:`column_to_array`
-    is value-faithful, a typed array here is guaranteed free of Python
-    values that numpy would have coerced (``None``, stray bools among
-    ints), so the ``np.unique`` path emits exactly the row path's keys;
-    everything else — including ``None``-bearing columns — takes the
-    exact dict fallback.
+
+def _digits(parts: Sequence[np.ndarray]):
+    """One key column's order-preserving digits over every side, with
+    their span and coding — ``(lo, hi, None)`` for ``value − lo``,
+    ``(None, None, values)`` for the index into the sorted distinct
+    ``values`` — or None where the row path's dict equality cannot be
+    read off the arrays."""
+    kinds = {p.dtype.kind for p in parts}
+    if not kinds <= set("biuf") and kinds != {"U"} and kinds != {"S"}:
+        return None  # object dtype, or a cross-kind pair numpy would coerce
+    if "f" in kinds:
+        if any(p.dtype.kind == "f" and bool(np.isnan(p).any()) for p in parts):
+            return None  # row-wise a NaN equals only the very same object
+        if any(p.dtype.kind in "biu" and _int_bound(p) >= _FLOAT_EXACT
+               for p in parts):
+            return None  # float64 would collapse distinct ints
+    combo = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if combo.dtype.kind == "f" and "f" not in kinds and max(
+            _int_bound(p) for p in parts) >= _FLOAT_EXACT:
+        return None  # int64 against uint64 promotes to float64
+    if combo.dtype.kind == "i" and len(combo):
+        lo, hi = int(combo.min()), int(combo.max())
+        if hi - lo < _INT64_SAFE:
+            return combo - lo, hi - lo + 1, (lo, hi, None)
+    values, digits = np.unique(combo, return_inverse=True)
+    return digits, len(values), (None, None, values)
+
+
+def pack(sides: Sequence[Sequence[np.ndarray]]):
+    """Every side's key rows as one order-preserving int64 code each.
+
+    ``sides`` holds, per side, its key columns' arrays, aligned by
+    position.  Returns ``(codes, layout)`` — the codes of all sides'
+    rows in turn, equal exactly where the row path's dict would equate
+    the key tuples, and the layout :func:`key_code` maps one key tuple
+    through — or None where the arrays cannot say what the dict would:
+    an object column, a NaN-bearing float column, an int/float pair
+    with an int at or above 2⁵³ (or int64 against uint64 there), or a
+    cross-kind pair.  Each column is coded over every side at once (an
+    int64 column as ``value − lo``, any other through one 1-D
+    ``np.unique``); the columns fold mixed-radix, the first the most
+    significant.  Where the running radix would reach 2⁶², the code so
+    far and the column's digits are renumbered densely first, so their
+    product stays below the square of the row count.  An empty side's
+    dtype says nothing.
     """
-    arrays = cols.arrays(names)
-    if len(arrays) == 1 and arrays[0].dtype.kind in GROUPABLE_KINDS:
-        uniq, first, inv = np.unique(
-            arrays[0], return_index=True, return_inverse=True
+    if not sides[0]:
+        return None
+    lengths = [len(side[0]) for side in sides]
+    columns = []
+    code = None
+    radix = 1
+    for pos in range(len(sides[0])):
+        got = _digits(
+            [side[pos] for side, n in zip(sides, lengths) if n] or [sides[0][pos]])
+        if got is None:
+            return None
+        digits, span, coding = got
+        squeeze = None
+        if code is not None and radix * span >= _INT64_SAFE:
+            running, code = np.unique(code, return_inverse=True)
+            own, digits = np.unique(digits, return_inverse=True)
+            radix, span, squeeze = len(running), len(own), (running, own)
+        code = digits if code is None else code * span + digits
+        radix *= span
+        columns.append((coding, span, squeeze))
+    return code.astype(np.int64, copy=False), columns
+
+
+def key_code(layout: list, key: tuple) -> Optional[int]:
+    """The code :func:`pack` gave, under ``layout``, to keys equal to
+    ``key`` — equal as the row path's dict equates them — or None when
+    no packed row can hold it."""
+    if len(key) != len(layout):
+        return None
+    code = 0
+    for value, ((lo, hi, values), span, squeeze) in zip(key, layout):
+        if values is None:
+            digit = _exact_int(value)
+            if digit is None or not lo <= digit <= hi:
+                return None
+            digit -= lo
+        else:
+            digit = _find(values, _as_kind(value, values.dtype.kind))
+        if squeeze is not None and digit is not None:
+            code, digit = _find(squeeze[0], code), _find(squeeze[1], digit)
+        if code is None or digit is None:
+            return None
+        code = code * span + digit
+    return code
+
+
+def _as_kind(value, kind: str):
+    """``value`` as an element of a ``kind`` array it would equal in a
+    dict, or None (``1.0`` is the bool ``True``, ``"1"`` no number)."""
+    if kind in "US":
+        return value if isinstance(value, str if kind == "U" else bytes) else None
+    if kind == "f":
+        try:
+            as_float = float(value)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return as_float if as_float == value else None
+    as_int = _exact_int(value)
+    if kind == "b":
+        return bool(as_int) if as_int in (0, 1) else None
+    return as_int if as_int is not None and (kind != "u" or as_int >= 0) else None
+
+
+def dense(codes: np.ndarray):
+    """Packed ``codes`` as dense ids numbered by first appearance.
+
+    One 1-D ``np.unique``: returns ``(ids, first)`` where ``ids[i]`` is
+    row ``i``'s key id and ``first[k]`` the row where key ``k`` first
+    appears — ascending, so ``len(first)`` is the key count and the
+    numbering is the one a dict filled in row order gives.  The first
+    rows come from ``np.minimum.at``, not ``return_index``, which would
+    force a stable sort at twice the cost.
+    """
+    values, inverse = np.unique(codes, return_inverse=True)
+    first = np.full(len(values), len(codes), dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(len(codes), dtype=np.intp))
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(len(first), dtype=np.intp)
+    return rank[inverse], first[order]
+
+
+def key_groups(batches: Sequence["ColumnarRelation"], names: Sequence[str]):
+    """Group ids over several batches in one numbering, and the groups.
+
+    Returns ``(ids, keys)``: ``ids`` numbers the key tuples of every
+    batch's rows in turn, by first appearance, and ``keys[g]`` is group
+    ``g``'s key tuple as its first row holds it — exactly the dict
+    grouping of the row path, which a key :func:`pack` refuses still
+    takes, over the batches' Python values.
+    """
+    sides = [batch.arrays(names) for batch in batches]
+    packed = pack(sides)
+    if packed is None:
+        index: dict = {}
+        pycols = [chain.from_iterable([b.pycolumn(n) for b in batches])
+                  for n in names]
+        ids = np.fromiter(
+            (index.setdefault(k, len(index)) for k in zip(*pycols)),
+            dtype=np.intp, count=sum(b.nrows for b in batches),
         )
-        gid, ordered = _first_appearance(uniq, first, inv)
-        return gid, [(k,) for k in ordered.tolist()]
-    kinds = {a.dtype.kind for a in arrays}
-    if len(arrays) > 1 and len(kinds) == 1 and kinds <= set("biu"):
-        # One kind only: np.stack on mixed bool/int columns would promote
-        # bools to 0/1 and change the emitted group-key values.
-        stacked = np.stack(arrays, axis=1)
-        uniq, first, inv = np.unique(
-            stacked, axis=0, return_index=True, return_inverse=True
-        )
-        gid, ordered = _first_appearance(uniq, first, inv)
-        return gid, [tuple(r) for r in ordered.tolist()]
-    # Exact fallback: Python values as dict keys, like the row path.
-    pycols = [cols.pycolumn(n) for n in names]
-    n = len(pycols[0])
-    gid = np.empty(n, dtype=np.intp)
-    mapping: dict = {}
-    keys: list = []
-    for i, key in enumerate(zip(*pycols)):
-        g = mapping.get(key)
-        if g is None:
-            g = len(keys)
-            mapping[key] = g
-            keys.append(key)
-        gid[i] = g
-    return gid, keys
+        return ids, list(index)
+    ids, first = dense(packed[0])
+    offsets = np.cumsum([0] + [b.nrows for b in batches])
+    bounds = np.searchsorted(first, offsets)
+    columns = [
+        concat_column_parts([
+            side[pos][first[lo:hi] - off]
+            for side, lo, hi, off in zip(sides, bounds, bounds[1:], offsets)
+        ]).tolist()
+        for pos in range(len(names))
+    ]
+    return ids, list(zip(*columns))
 
 
 def grouped_starts(gid: np.ndarray, counts: np.ndarray):
@@ -563,109 +683,6 @@ def grouped_starts(gid: np.ndarray, counts: np.ndarray):
     starts = np.zeros(len(counts), dtype=np.intp)
     np.cumsum(counts[:-1], out=starts[1:])
     return order, starts
-
-
-def factorize_key_codes(abatch, bbatch, acols, bcols):
-    """Dense integer key codes for two batches, or None to fall back.
-
-    Each key column pair is factorized with one ``np.unique`` over the
-    concatenated values of both batches; multi-column keys re-factorize
-    the stacked per-column codes.  Returns ``(acodes, bcodes, n_keys)``
-    where equal codes mean "these rows match on the key" — the building
-    block of both the vectorized hash join and the columnar merge.
-
-    Fallback conditions (the row path's Python ``dict`` defines the
-    matching semantics): object-dtype columns (``None`` keys match
-    row-wise via ``None == None``; the factorizer cannot see that),
-    NaN-bearing float keys (``nan`` never equals itself row-wise but
-    ``np.unique`` collapses NaNs), int/float pairs whose magnitudes
-    reach 2**53 (float64 promotion loses int exactness), and any
-    cross-kind pair numpy would coerce (int vs str, …).
-    """
-    from repro.algebra.predicates import _FLOAT_EXACT, _int_bound
-
-    na, nb = abatch.nrows, bbatch.nrows
-    code_cols = []
-    for ac, bc in zip(acols, bcols):
-        aa = abatch.array(ac)
-        ba = bbatch.array(bc)
-        ak, bk = aa.dtype.kind, ba.dtype.kind
-        if ak == "O" or bk == "O":
-            return None
-        if ak in "biuf" and bk in "biuf":
-            for arr, kind in ((aa, ak), (ba, bk)):
-                if kind == "f" and arr.size and np.isnan(arr).any():
-                    return None
-            if "f" in (ak, bk) and (ak in "biu" or bk in "biu"):
-                int_side = aa if ak in "biu" else ba
-                if int_side.size and _int_bound(int_side) >= _FLOAT_EXACT:
-                    return None
-        elif not (ak == bk and ak in "US"):
-            return None
-        combo = np.concatenate([aa, ba])
-        if combo.dtype.kind == "f" and "f" not in (ak, bk):
-            # int64 vs uint64 promotes to float64; only exact when every
-            # key fits in 2**53 (otherwise distinct keys could collide).
-            if max(_int_bound(aa), _int_bound(ba)) >= _FLOAT_EXACT:
-                return None
-        _, inv = np.unique(combo, return_inverse=True)
-        code_cols.append(np.asarray(inv).reshape(-1))
-    if len(code_cols) > 1:
-        stacked = np.column_stack(code_cols)
-        _, inv = np.unique(stacked, axis=0, return_inverse=True)
-        inv = np.asarray(inv).reshape(-1)
-    else:
-        inv = code_cols[0]
-    n_keys = int(inv.max()) + 1 if len(inv) else 0
-    return inv[:na], inv[na:], n_keys
-
-
-#: Packed key codes must stay clear of int64 overflow.
-_CODE_LIMIT = 1 << 62
-
-
-def int_key_radix(*sides) -> Optional[tuple]:
-    """The mixed-radix layout ``(lows, spans, strides)`` that packs the
-    machine-integer key columns of every side into one int64 code, or
-    None.
-
-    Each side is a list of key column arrays, aligned by position; one
-    layout covers them all, so equal codes across sides mean equal keys.
-    None when a column with rows is not an int64 array (bool, float,
-    object, …), when no side has rows, or when the packed range would
-    reach 2⁶².
-    """
-    if not sides[0]:
-        return None
-    lows, spans = [], []
-    for pos in range(len(sides[0])):
-        parts = [side[pos] for side in sides if len(side[pos])]
-        if not parts or any(p.dtype.kind != "i" for p in parts):
-            return None
-        lo = min(int(p.min()) for p in parts)
-        lows.append(lo)
-        spans.append(max(int(p.max()) for p in parts) - lo + 1)
-    strides = []
-    stride = 1
-    for span in reversed(spans):
-        strides.insert(0, stride)
-        stride *= span
-    if stride >= _CODE_LIMIT:
-        return None
-    return lows, spans, strides
-
-
-def pack_int_key(columns, radix: tuple) -> np.ndarray:
-    """The int64 codes of one side's key ``columns`` under ``radix``
-    (:func:`int_key_radix`): the first column is the most significant
-    digit, so codes sort like the key tuples."""
-    lows, _, strides = radix
-    codes = np.zeros(len(columns[0]), dtype=np.int64)
-    if not len(codes):
-        return codes  # an empty column's dtype says nothing
-    for col, lo, step in zip(columns, lows, strides):
-        codes += (col - lo) * step
-    return codes
 
 
 def object_array(values: Sequence) -> np.ndarray:

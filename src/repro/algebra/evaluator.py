@@ -25,14 +25,13 @@ the equivalence tests and the ``bench_vectorized_eval`` /
 Implementation notes
 --------------------
 * Equality joins are hash joins (build on the right input).  The
-  columnar path factorizes both sides' keys into dense integer codes
-  (one ``np.unique`` over the concatenated key columns; multi-column
-  keys re-factorize the stacked per-column codes), sorts the build side
-  by code once, and expands each probe row's matches with pure index
-  arithmetic — the output is a provider-backed batch whose columns are
-  gathered on demand.  Object-dtype keys (``None``-bearing columns,
-  exotic values), NaN keys, and int/float key pairs beyond 2**53 fall
-  back to the reference row join; theta-only joins always use it.
+  columnar path codes both sides' keys with the one key coder
+  (:func:`~repro.algebra.columnar.pack`, then ``dense``), sorts the
+  build side by code once, and expands each probe row's matches with
+  pure index arithmetic — the output is a provider-backed batch whose
+  columns are gathered on demand.  Keys the coder refuses (object
+  dtype, NaN, int/float pairs beyond 2**53, cross-kind pairs) fall back
+  to the reference row join; theta-only joins always use it.
 * Outer joins pad the missing side with ``None`` (padded columns drop to
   object dtype, which downstream operators treat null-aware); equality
   columns that share a name on both sides collapse to a single output
@@ -55,17 +54,18 @@ Implementation notes
 * Set operators keep the row path's set semantics (hash, then identity
   or ``==``).  A ∪ of provably disjoint sides (distinct constant tags) is
   a concatenation; otherwise candidate row pairs share the left input's
-  derived key, packed to int64 codes by the key index's packer, and
-  whole rows are compared on those pairs alone.  Non-integer or repeated
-  left keys, and NaNs a column batch can no longer tell apart, fall back
-  to the row operators.  Outputs over row tuples stay row-backed, like
-  an η sample of a base relation (see ``docs/columnar.md``).
+  derived key, packed to int64 codes by the one key coder, and whole
+  rows are compared on those pairs alone.  Keys the coder refuses,
+  repeated left keys, and NaNs a column batch can no longer tell apart
+  fall back to the row operators.  Outputs over row tuples stay
+  row-backed, like an η sample of a base relation (see
+  ``docs/columnar.md``).
 * :class:`Merge` implements the change-table merge: a full outer equality
   join on the view key followed by per-column combination, with emptied
   groups (support count driven to zero or below) removed — exactly the
   Π(S ⟗ change) maintenance step of paper Ex. 1.  The columnar path
-  factorizes both keys with the join's codes machinery
-  (:func:`~repro.algebra.columnar.factorize_key_codes`), matches every
+  codes both keys with the one key coder
+  (:func:`~repro.algebra.columnar.pack` / ``dense``), matches every
   stale row against the change table with one gather, applies the
   combiners as vectorized column ops (with a per-combiner row fallback),
   and assembles the output as lazy scatter/gather providers; object,
@@ -86,11 +86,10 @@ from repro.algebra.columnar import (
     column_to_array,
     concat_column_parts,
     concat_columns,
-    factorize_key_codes,
-    group_ids,
+    dense,
     grouped_starts,
-    int_key_radix,
-    pack_int_key,
+    key_groups,
+    pack,
     rows_at,
     scatter_column,
 )
@@ -589,24 +588,23 @@ def _try_setop(expr, left, right, leaves):
 def _try_key_matches(left, right, key):
     """Which rows of each side equal a row of the other, or None.
 
-    Candidate pairs share ``key``: machine-integer key columns pack
-    into int64 codes (:func:`~repro.algebra.columnar.pack_int_key`, the
-    key index's packer), the left codes are sorted once and every right
-    code is looked up in them.  The left codes must be unique — then a
-    right row has at most one candidate, and the left rows are distinct,
-    so ∩ / − need no deduplication — and any other key (object, bool,
-    float, string, mixed kinds, or a range past the packer's) falls
-    back.  Whole-row equality is then checked on the candidate pairs
-    alone, as the row path checks it (:func:`_try_rows_at`).  Returns
+    Candidate pairs share ``key``: the key columns of both sides pack
+    into int64 codes (:func:`~repro.algebra.columnar.pack`), the left
+    codes are sorted once and every right code is looked up in them.
+    The left codes must be unique — then a right row has at most one
+    candidate, and the left rows are distinct, so ∩ / − need no
+    deduplication — and a key the coder refuses falls back.  Whole-row
+    equality is then checked on the candidate pairs alone, as the row
+    path checks it (:func:`_try_rows_at`).  Returns
     ``(left hits, right hits, left key arrays, right key arrays)``.
     """
     try:
         lkeys = left.columnar().arrays(key)
         rkeys = right.columnar().arrays(key)
-        radix = int_key_radix(lkeys, rkeys)
-        if radix is None:
+        packed = pack([lkeys, rkeys])
+        if packed is None:
             return None
-        lcodes = pack_int_key(lkeys, radix)
+        lcodes, rcodes = packed[0][:len(left)], packed[0][len(left):]
         order = np.argsort(lcodes)
         ordered = lcodes[order]
         if bool((ordered[1:] == ordered[:-1]).any()):
@@ -614,7 +612,6 @@ def _try_key_matches(left, right, key):
         lhit = np.zeros(len(left), dtype=bool)
         rhit = np.zeros(len(right), dtype=bool)
         if len(left):
-            rcodes = pack_int_key(rkeys, radix)
             at = np.minimum(np.searchsorted(ordered, rcodes), len(ordered) - 1)
             cand = np.flatnonzero(ordered[at] == rcodes)
             lpos = order[at[cand]]
@@ -935,10 +932,11 @@ def _join_columnar(expr: Join, left, right, out_schema, kept_right):
     nl, nr = len(left), len(right)
     lbatch = left.columnar()
     rbatch = right.columnar()
-    codes = factorize_key_codes(lbatch, rbatch, expr.left_on(), expr.right_on())
-    if codes is None:
+    packed = pack([lbatch.arrays(expr.left_on()), rbatch.arrays(expr.right_on())])
+    if packed is None:
         return None
-    lcodes, rcodes, n_keys = codes
+    ids, first = dense(packed[0])
+    lcodes, rcodes, n_keys = ids[:nl], ids[nl:], len(first)
 
     counts = np.bincount(rcodes, minlength=n_keys)
     order = np.argsort(rcodes, kind="stable")
@@ -1100,7 +1098,7 @@ def _eval_aggregate(expr: Aggregate, leaves, memo) -> Relation:
 def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
     """Columnar γ: grouped reduceat-style reductions, or None to fall back.
 
-    Group ids come from :func:`repro.algebra.columnar.group_ids` in
+    Group ids come from :func:`repro.algebra.columnar.key_groups` in
     first-appearance order (identical to the dict grouping of the row
     path).  Each aggregate spec vectorizes independently: specs whose
     input term or dtype does not qualify are computed per group with the
@@ -1114,7 +1112,7 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
     try:
         cols = child.columnar()
         if expr.group_by:
-            gid, group_keys = group_ids(cols, expr.group_by)
+            gid, group_keys = key_groups([cols], expr.group_by)
         else:
             gid = np.zeros(n, dtype=np.intp)
             group_keys = [()]
@@ -1496,18 +1494,18 @@ def _support_keep(piece, n):
 
 
 def _merge_columnar(expr: Merge, stale, change):
-    """Key-factorized columnar merge, or None to fall back to the row path.
+    """Key-coded columnar merge, or None to fall back to the row path.
 
-    The stale-view and change-table keys are factorized into one dense
-    integer code space (:func:`~repro.algebra.columnar.
-    factorize_key_codes` — the hash join's machinery, with the same
-    object/NaN/≥2**53 fallback triggers).  Matched rows, stale-only rows
-    and change-only keys then come from pure array arithmetic:
+    The stale-view and change-table keys share one dense id space,
+    numbered by first appearance (:func:`~repro.algebra.columnar.pack`
+    and ``dense`` — the hash join's coder, with the same refusals).
+    Matched rows, stale-only rows and change-only keys then come from
+    pure array arithmetic:
 
     * ``last[code]`` holds the change table's *last* row per key (the
       row dict insertion kept), so ``last[scodes]`` matches every stale
       row at once;
-    * change-only keys are the codes no stale row carries, emitted in
+    * change-only keys are the ids past the stale view's, already in
       first-appearance order — exactly the row path's dict order;
     * each combiner produces one merged value array per region
       (matched / inserted) via :func:`_merged_values`, with a
@@ -1546,10 +1544,11 @@ def _merge_columnar(expr: Merge, stale, change):
 
     sbatch = stale.columnar()
     cbatch = change.columnar()
-    codes = factorize_key_codes(sbatch, cbatch, expr.key, expr.key)
-    if codes is None:
+    packed = pack([sbatch.arrays(expr.key), cbatch.arrays(expr.key)])
+    if packed is None:
         return None
-    scodes, ccodes, n_keys = codes
+    ids, first = dense(packed[0])
+    scodes, ccodes, n_keys = ids[:ns], ids[ns:], len(first)
 
     # The change table's last row per key (dict overwrite semantics).
     last = np.full(n_keys, -1, dtype=np.intp)
@@ -1559,13 +1558,9 @@ def _merge_columnar(expr: Merge, stale, change):
     cmatch = match_pos[matched_idx]
     n_match = len(matched_idx)
 
-    # Change-only keys in first-appearance order (dict insertion order).
-    stale_has = np.zeros(n_keys, dtype=bool)
-    if ns:
-        stale_has[scodes] = True
-    uniq_codes, first_occ = np.unique(ccodes, return_index=True)
-    new_first = np.sort(first_occ[~stale_has[uniq_codes]])
-    append_src = last[ccodes[new_first]]
+    # Change-only keys: the ids no stale row took, numbered in their
+    # first-appearance order (dict insertion order).
+    append_src = last[int(scodes.max()) + 1 if ns else 0:]
     n_append = len(append_src)
 
     # ------------------------------------------------------------------

@@ -42,12 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.algebra.columnar import (
-    ColumnarRelation,
-    int_key_radix,
-    pack_int_key,
-    rows_at,
-)
+from repro.algebra.columnar import ColumnarRelation, key_code, pack, rows_at
 from repro.algebra.schema import Schema, as_schema
 from repro.errors import SchemaError
 
@@ -60,43 +55,30 @@ PER_ROW = "__perrow__"
 _KEY_INDEX = "__keyindex__"
 
 
-def _exact_int(value) -> Optional[int]:
-    """The int a dict lookup would equate ``value`` with, if any
-    (``3.0`` and ``True`` find the key ``3`` / ``1``; ``"3"`` does not)."""
-    if type(value) is int:
-        return value
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return as_int if as_int == value else None
-
-
 class KeyIndex:
     """Immutable key tuple → row position(s) of one relation.
 
     Every row's key is reduced to one int64 *code*; the index is two
     arrays — the codes sorted, and the row order that sorts them —
-    probed by ``searchsorted`` (16 B per row).  Where every key column
-    is a machine-integer array the code is the key packed mixed-radix,
-    computed in numpy (:func:`~repro.algebra.columnar.pack_int_key`, the
-    packer the set operators share).  Any other key type numbers its
-    distinct key tuples in a dict (key tuple → code), so a lookup
-    equates exactly what a dict keyed by the rows' key tuples would
-    (``3.0`` finds ``3``).  Neither form is ever handed out for
-    writing: pending deltas are resolved by lookup on top of it
+    probed by ``searchsorted`` (16 B per row).  Where the one key coder
+    (:func:`~repro.algebra.columnar.pack`) takes the key columns, the
+    codes are its codes, computed in numpy, and a looked-up key maps
+    through the same layout.  A key it refuses (object columns, NaN)
+    numbers its distinct key tuples in a dict (key tuple → code).
+    Either way a lookup equates exactly what a dict keyed by the rows'
+    key tuples would (``3.0`` finds ``3``).  Neither form is ever handed
+    out for writing: pending deltas are resolved by lookup on top of it
     (:meth:`repro.db.database.Database.update`), and :meth:`patched`
     derives a successor's index into fresh arrays and a fresh dict.
     """
 
-    __slots__ = ("_radix", "_ids", "_codes", "_order")
+    __slots__ = ("_layout", "_ids", "_codes", "_order")
 
     def __init__(self, rel: "Relation"):
         self._ids = None
-        columns = rel.columnar().arrays(rel.key)
-        self._radix = int_key_radix(columns)
-        if self._radix is not None:
-            codes = pack_int_key(columns, self._radix)
+        packed = pack([rel.columnar().arrays(rel.key)])
+        if packed is not None:
+            codes, self._layout = packed
         else:
             self._ids = {}
             codes = self._number(_key_tuples(rel, rel.key), 0)
@@ -125,7 +107,7 @@ class KeyIndex:
         """The index of ``out = base.patched(drop, tail)`` from this one
         (``base``'s).
 
-        The array form re-packs ``out``'s key columns, which were
+        The coded form re-packs ``out``'s key columns, which were
         carried — numpy only.  The dict form copies the numbering,
         numbers ``tail``'s keys and forgets each key whose last row was
         dropped: Python work on the delta rows only, and every code in
@@ -152,18 +134,10 @@ class KeyIndex:
         """Every row position holding ``key``, ascending."""
         if self._ids is not None:
             code = self._ids.get(key)
-            if code is None:
-                return ()
         else:
-            lows, spans, strides = self._radix
-            if len(key) != len(lows):
-                return ()
-            code = 0
-            for value, lo, span, step in zip(key, lows, spans, strides):
-                value = _exact_int(value)
-                if value is None or not 0 <= value - lo < span:
-                    return ()
-                code += (value - lo) * step
+            code = key_code(self._layout, key)
+        if code is None:
+            return ()
         first = int(self._codes.searchsorted(code, "left"))
         last = int(self._codes.searchsorted(code, "right"))
         return self._order[first:last].tolist()

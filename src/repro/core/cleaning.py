@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.algebra.columnar import factorize_key_codes
+from repro.algebra.columnar import dense, pack
 from repro.algebra.evaluator import columnar_enabled, eta_sample, hash_draw
 from repro.algebra.expressions import Expr, Hash
 from repro.algebra.relation import Relation
@@ -77,23 +77,21 @@ def cleaning_expression(
 
 def _try_positions(data: Relation, sample: Relation, key) -> Optional[np.ndarray]:
     """Ascending row positions in ``data`` of ``sample``'s keys, or
-    ``None`` to fall back to hashing ``data`` (engine off, keys that do
-    not factorize, or a key of either side that is not unique in
+    ``None`` to fall back to hashing ``data`` (engine off, keys the key
+    coder refuses, or a key of either side that is not unique in
     ``data``)."""
     if not columnar_enabled() or not len(data):
         return None
-    codes = factorize_key_codes(data.columnar(), sample.columnar(), key, key)
-    if codes is None:
+    packed = pack([data.columnar().arrays(key), sample.columnar().arrays(key)])
+    if packed is None:
         return None
-    data_codes, sample_codes, n_keys = codes
-    position = np.full(n_keys, -1, dtype=np.intp)
-    position[data_codes] = np.arange(len(data_codes), dtype=np.intp)
-    found = np.unique(position[sample_codes])
-    if (
-        int((position >= 0).sum()) != len(data_codes)
-        or len(found) != len(sample_codes)
-        or (len(found) and found[0] < 0)
-    ):
+    ids, _ = dense(packed[0])
+    n = len(data)
+    # First-appearance ids: data's keys are distinct exactly when they
+    # take ids 0 … n−1, in row order, so an id below n is a position.
+    found = np.unique(ids[n:])
+    if ids[n - 1] != n - 1 or len(found) != len(ids) - n or (
+            len(found) and found[-1] >= n):
         return None
     return found
 

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algebra.columnar import factorize_key_codes, group_ids
+from repro.algebra.columnar import dense, key_groups, pack
 from repro.algebra.evaluator import columnar_enabled
 from repro.algebra.predicates import _FLOAT_EXACT, _INT64_SAFE, _int_bound
 from repro.algebra.relation import Relation
@@ -159,10 +159,12 @@ def _try_alignment(clean: Relation, dirty: Relation, key: Sequence[str]):
 
     Row ``i`` of ``clean`` owns slot ``clean_pos[i]`` of the pair's
     ``n_keys``-slot key union, likewise ``dirty``; equal slots mean
-    equal keys.  Computed once per (clean, dirty) pair and held on the
-    clean sample.  None — also remembered — when the key columns do not
-    factorize (see :func:`factorize_key_codes`) or a key repeats inside
-    one sample, where the row path's dicts define the answer.
+    equal keys, and slots are numbered by first appearance, as
+    :func:`_row_alignment` numbers them.  Computed once per (clean,
+    dirty) pair and held on the clean sample.  None — also remembered —
+    when the key coder refuses the key columns (see
+    :func:`repro.algebra.columnar.pack`) or a key repeats inside one
+    sample, where the row path's dicts define the answer.
     """
     key = tuple(key)
     memo = clean.sample_cache()
@@ -171,15 +173,15 @@ def _try_alignment(clean: Relation, dirty: Relation, key: Sequence[str]):
         return hit[2]
     alignment = None
     if key and all(k in clean.schema and k in dirty.schema for k in key):
-        codes = factorize_key_codes(
-            clean.columnar(), dirty.columnar(), key, key
-        )
-        if codes is not None:
-            clean_pos, dirty_pos, n_keys = codes
-            if len(np.unique(clean_pos)) == len(clean_pos) and len(
-                np.unique(dirty_pos)
-            ) == len(dirty_pos):
-                alignment = (n_keys, clean_pos, dirty_pos)
+        packed = pack([clean.columnar().arrays(key), dirty.columnar().arrays(key)])
+        if packed is not None:
+            ids, first = dense(packed[0])
+            clean_pos, dirty_pos = ids[:len(clean)], ids[len(clean):]
+            # First-appearance ids: clean's keys are distinct exactly
+            # when they take the first len(clean) ids.
+            if (not len(clean) or clean_pos[-1] == len(clean) - 1) and (
+                    np.bincount(dirty_pos).max(initial=0) <= 1):
+                alignment = (len(first), clean_pos, dirty_pos)
     memo[_ALIGNMENT] = (dirty, key, alignment)
     return alignment
 
@@ -200,20 +202,15 @@ def _row_alignment(clean: Relation, dirty: Relation, key):
 def _shared_group_ids(rels: Sequence[Relation], group_by: Sequence[str]):
     """Per-relation group ids over one numbering, and the group keys.
 
-    Groups are numbered by first appearance, relation after relation;
-    keys meet in a Python dict, so they match as the row path's do.
+    Groups are numbered by first appearance, relation after relation,
+    by the one key coder (:func:`repro.algebra.columnar.key_groups`), so
+    keys match as the row path's dict matches them.
     """
-    index: dict = {}
-    gids = []
     for rel in rels:
         rel.schema.indexes(group_by)
-        gid, keys = group_ids(rel.columnar(), group_by)
-        shared = np.fromiter(
-            (index.setdefault(k, len(index)) for k in keys),
-            dtype=np.intp, count=len(keys),
-        )
-        gids.append(shared[gid])
-    return gids, list(index)
+    ids, groups = key_groups([rel.columnar() for rel in rels], group_by)
+    bounds = np.cumsum([len(rel) for rel in rels])[:-1]
+    return np.split(ids, bounds), groups
 
 
 def _row_group_ids(rels: Sequence[Relation], group_by: Sequence[str]):

@@ -41,6 +41,11 @@ from repro.errors import EstimationError
 
 SAMPLE_MEAN_FUNCS = ("sum", "count", "avg")
 
+#: σ²_diff and σ²_fresh closer than this, relative to σ²_fresh, are a
+#: tie, and a tie goes to SVC+CORR — so the §5.2.2 choice does not turn
+#: on the order in which the two variances were summed.
+_TIE_RTOL = 1e-9
+
 
 class AggQuery:
     """``SELECT f(attr) FROM view WHERE condition`` (paper Problem 2).
@@ -179,7 +184,8 @@ def _recommend(table: DiffTable) -> np.ndarray:
     """§5.2.2 break-even: "corr" while σ²_diff ≤ σ²_fresh, per group.
 
     Equivalently σ²_S ≤ 2 cov(S, S'); past the break-even point the
-    direct estimate is more accurate.  Fewer than two values: "corr".
+    direct estimate is more accurate.  Fewer than two values, or a tie
+    within :data:`_TIE_RTOL`: "corr".
     """
     n = len(table.groups)
 
@@ -192,7 +198,8 @@ def _recommend(table: DiffTable) -> np.ndarray:
     k_diff, var_diff = variance(*diff_entries(table))
     k_fresh, var_fresh = variance(
         fresh.gid if fresh.gid is None else fresh.gid[rows], fresh.t[rows])
-    corr = (k_diff < 2) | (k_fresh < 2) | (var_diff <= var_fresh)
+    corr = (k_diff < 2) | (k_fresh < 2) | (
+        var_diff <= var_fresh * (1 + _TIE_RTOL))
     return np.where(corr, "corr", "aqp")
 
 
@@ -205,9 +212,13 @@ def merge_strata(sampled: DiffTable, exact: DiffTable,
     weighs each stratum's mean (0 when empty) by its share of the
     estimated matching rows W = Σ_reg 1/m + n_out, which is the ratio
     form v = (Σ_reg v/m + Σ_out v) / W.  With ``stale_value`` the same
-    weights merge the per-stratum corrections into q(S) + c.
+    weights merge the per-stratum corrections into q(S) + c; a NaN q(S)
+    (no stale row matches) has nothing to correct, and the direct
+    estimate is the answer, as in :func:`svc_corr`.
     """
     avg = sampled.func == "avg"
+    if stale_value is not None and np.isnan(stale_value):
+        stale_value = None
 
     def aqp(table, side, se=False):
         point, err = _aqp(table, side, se)
@@ -320,6 +331,8 @@ def estimate_groups(
     view but absent from both samples get a zero correction (CORR) — the
     stale value stands; AQP reports no estimate for groups it never saw.
     """
+    if method not in ("aqp", "corr", "auto"):
+        raise EstimationError(f"unknown estimation method {method!r}")
     if query.func not in SAMPLE_MEAN_FUNCS:
         return _point_estimate_groups(
             "corr" if method == "auto" else method, query, ratio,
@@ -332,7 +345,7 @@ def estimate_groups(
         table = diff_table(query, ratio, clean_sample, group_by=group_by)
         value, se = _aqp(table, table.fresh)
         direct = np.ones(len(value), dtype=bool)
-    elif method in ("corr", "auto"):
+    else:
         if dirty_sample is None or stale_view is None:
             raise EstimationError(
                 "corr estimation needs dirty sample + stale view")
@@ -346,8 +359,6 @@ def estimate_groups(
             aqp_value, aqp_se = _aqp(table, table.fresh)
             value = np.where(direct, aqp_value, value)
             se = np.where(direct, aqp_se, se)
-    else:
-        raise EstimationError(f"unknown estimation method {method!r}")
     gid = table.fresh.gid
     rows = (np.bincount(gid, minlength=len(table.groups)) if gid is not None
             else np.array([len(clean_sample)]))

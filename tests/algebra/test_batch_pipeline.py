@@ -28,7 +28,7 @@ from repro.algebra import (
     evaluate,
     set_columnar_enabled,
 )
-from repro.algebra.columnar import as_object_array, column_to_array, group_ids
+from repro.algebra.columnar import as_object_array, column_to_array
 
 
 def make_rel(n=100, name="R"):
@@ -183,17 +183,6 @@ class TestFaithfulArrays:
         out = as_object_array(np.asarray([1, 2]))
         assert out.dtype == object
         assert all(type(v) is int for v in out)
-
-    def test_group_ids_none_keys_match_row_path(self):
-        rel = Relation(
-            Schema(["k", "v"]),
-            [(None, 1.0), (1, 2.0), (None, 3.0), (1.0, 4.0)],
-            name="R",
-        )
-        gid, keys = group_ids(rel.columnar(), ["k"])
-        # Row-path dict grouping: None, then 1 (1.0 folds into it).
-        assert keys == [(None,), (1,)]
-        assert gid.tolist() == [0, 1, 0, 1]
 
     def test_mask_on_none_column_matches_row_semantics(self):
         """Ordering comparisons against None raise in both engines."""

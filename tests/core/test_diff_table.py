@@ -23,7 +23,9 @@ from repro.algebra import (
     set_columnar_enabled,
 )
 from repro.core import AggQuery, OutlierIndex, StaleViewCleaner
+from repro.core.confidence import DiffTable, Side, group_spread
 from repro.core.estimators import (
+    _recommend,
     estimate_groups,
     partition,
     recommend_estimator,
@@ -32,6 +34,7 @@ from repro.core.estimators import (
 )
 from repro.core.hashing import hash_sample
 from repro.db import Catalog, Database
+from repro.errors import EstimationError
 
 SCHEMA = Schema(["k", "grp", "v"])
 RATIO = 0.3
@@ -237,3 +240,72 @@ def test_outlier_estimates_are_the_closed_forms(seed, pred, columnar):
         assert cleaner.query(query, "aqp").value == pytest.approx(want, rel=1e-12)
     finally:
         set_columnar_enabled(old)
+
+
+@pytest.mark.parametrize("columnar", [True, False], ids=["batch", "rows"])
+def test_outlier_corr_avg_without_a_matching_stale_row_is_the_direct_estimate(
+        columnar):
+    """q(S) is NaN (every stale group has n = 10): there is nothing to
+    correct, so CORR+Out answers as AQP+Out, as plain svc_corr does."""
+    cleaner = outlier_cleaner(5)
+    query = AggQuery("avg", "total", col("n") >= 11)
+    old = set_columnar_enabled(columnar)
+    try:
+        assert math.isnan(query.evaluate(cleaner.view.require_data()))
+        corr = cleaner.query(query, "corr")
+        aqp = cleaner.query(query, "aqp")
+    finally:
+        set_columnar_enabled(old)
+    assert corr.method == "SVC+CORR+Out"
+    assert math.isfinite(corr.value) and math.isfinite(corr.se)
+    assert (corr.value, corr.se) == (aqp.value, aqp.se)
+
+
+def test_estimate_groups_rejects_unknown_methods_for_holistic_aggregates():
+    rel = Relation(SCHEMA, [(1, 0, 1.0), (2, 0, 2.0), (3, 1, 3.0)], key=("k",))
+    with pytest.raises(EstimationError, match="unknown estimation method"):
+        estimate_groups("nope", AggQuery("median", "v"), ("grp",), 0.5, rel,
+                        rel, rel)
+
+
+TIE_SCHEMA = Schema(["k", "b", "v"])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_auto_ties_go_to_corr_on_both_paths(seed):
+    """Bool and int sums at m = 0.25 whose dirty rows all miss the
+    predicate: σ²_diff = σ²_fresh exactly, and both paths pick CORR."""
+    rng = np.random.default_rng(seed)
+    keys = rng.permutation(1000)[:int(rng.integers(5, 40))].tolist()
+    clean = Relation(TIE_SCHEMA, [
+        (k, bool(rng.random() < 0.5), int(rng.integers(-3, 9))) for k in keys
+    ], key=("k",))
+    kept = [k for k in keys if rng.random() < 0.6]
+    rng.shuffle(kept)
+    dirty = Relation(TIE_SCHEMA, [(k, False, 0) for k in kept], key=("k",))
+    for query in (AggQuery("sum", "b", col("b") == True),  # noqa: E712
+                  AggQuery("sum", "v", col("v") != 0),
+                  AggQuery("count", predicate=col("v") != 0)):
+        for columnar in (True, False):
+            old = set_columnar_enabled(columnar)
+            try:
+                assert recommend_estimator(dirty, clean, query, 0.25) == "corr"
+            finally:
+                set_columnar_enabled(old)
+
+
+def test_auto_tie_within_rounding_goes_to_corr():
+    """The same six values summed in two orders: σ²_diff exceeds
+    σ²_fresh by rounding alone, and the tie still goes to CORR."""
+    t = np.array([8.1, 4.1, 4.1, 0.1, 0.1, 0.1])
+    slots = np.array([4, 1, 2, 0, 3, 5])
+    hit = np.ones(len(t), dtype=bool)
+    none = np.zeros(0)
+    table = DiffTable("sum", 0.25, Side(t, hit, None, slots),
+                      Side(none, none.astype(bool), None, none.astype(np.intp)),
+                      len(t), [()])
+    diffs = np.zeros(len(t))
+    diffs[slots] = t
+    spread = [group_spread(None, x, 1)[2][0] for x in (diffs, t)]
+    assert spread[0] > spread[1]
+    assert _recommend(table).tolist() == ["corr"]

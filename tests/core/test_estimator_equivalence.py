@@ -370,13 +370,13 @@ def test_outlier_estimates_match_the_row_oracle():
 # ----------------------------------------------------------------------
 def count_factorizations(monkeypatch):
     calls = []
-    real = confidence_module.factorize_key_codes
+    real = confidence_module.pack
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(confidence_module, "factorize_key_codes", spy)
+    monkeypatch.setattr(confidence_module, "pack", spy)
     return calls
 
 

@@ -360,8 +360,9 @@ def test_deletion_removes_every_equal_row_and_only_those():
 
 
 def test_key_index_forms_agree():
-    """Array form (machine-int keys) and dict form (anything else) answer
-    like a dict over the key tuples — 3.0 finds 3, "3" does not."""
+    """Coded form (every key the one key coder takes) and dict form
+    (object keys, NaN) answer like a dict over the key tuples — 3.0
+    finds 3, "3" does not."""
     ints = Relation(Schema(["a", "b", "v"]),
                     [(1, 2, "x"), (1, 3, "y"), (5, 2, "z"), (1, 2, "dup")],
                     key=("a", "b"))
@@ -372,25 +373,33 @@ def test_key_index_forms_agree():
     for missing in [(1, 4), (0, 2), (9, 9), ("1", 2), (None, 2), (1.5, 2),
                     (float("nan"), 2), (float("inf"), 2), (1,)]:
         assert index.last(missing) == -1
-    for rel in (
-        Relation(Schema(["a", "v"]), [("p", 1), ("q", 2), ("p", 3)], key=("a",)),
-        Relation(Schema(["a", "v"]), [(2 ** 63, 1), (1, 2)], key=("a",)),
-        Relation(Schema(["a", "v"]), [(True, 1), (False, 2)], key=("a",)),
-        Relation(Schema(["a", "v"]), [], key=("a",)),
+    for rel, coded in (
+        (Relation(Schema(["a", "v"]), [("p", 1), ("q", 2), ("p", 3)],
+                  key=("a",)), True),
+        (Relation(Schema(["a", "v"]), [(2 ** 63, 1), (2 ** 64 - 1, 2)],
+                  key=("a",)), True),
+        (Relation(Schema(["a", "v"]), [(2 ** 63, 1), (1, 2)], key=("a",)), False),
+        (Relation(Schema(["a", "v"]), [(True, 1), (False, 2)], key=("a",)), True),
+        (Relation(Schema(["a", "v"]), [], key=("a",)), True),
+        (Relation(Schema(["a", "v"]), [("p", 1), (None, 2), (3, 3)],
+                  key=("a",)), False),
+        (Relation(Schema(["a", "v"]), [(1.5, 1), (float("nan"), 2)],
+                  key=("a",)), False),
     ):
         index = KeyIndex(rel)
-        assert index._ids is not None
+        assert (index._ids is None) == coded
         for key, row in rel.key_index().items():
             assert rel.rows[index.last(key)] == row
         assert index.last(("nope",)) == -1
 
 
 def test_dict_form_key_index_is_patched_not_rebuilt(monkeypatch):
-    """A key type the array form cannot pack still costs a period only
-    its deltas: the successor's index is derived from the predecessor's
-    (which stays as it was), and ``fresh_leaves()`` builds none."""
+    """A key the key coder refuses (an object column: strings next to an
+    int) still costs a period only its deltas: the successor's index is
+    derived from the predecessor's (which stays as it was), and
+    ``fresh_leaves()`` builds none."""
     db = Database()
-    rows = [(f"k{i}", i) for i in range(50)]
+    rows = [(f"k{i}", i) for i in range(50)] + [(50, 50)]
     db.add_relation(Relation(Schema(["k", "v"]), rows, key=("k",), name=NAME))
     first = db.relation(NAME).key_lookup()
     builds = []
@@ -416,7 +425,8 @@ def test_dict_form_key_index_is_patched_not_rebuilt(monkeypatch):
         for key, row in by_key.items():
             assert [new.rows[p] for p in index.positions(key)] == [row]
         assert index.last((f"k{period + 10}",)) == -1
-    assert not builds and first._ids == {(f"k{i}",): i for i in range(50)}
+    assert not builds and first._ids == {
+        **{(f"k{i}",): i for i in range(50)}, (50,): 50}
 
 
 # ----------------------------------------------------------------------
