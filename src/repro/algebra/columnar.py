@@ -29,8 +29,9 @@ execution backend:
   :class:`~repro.algebra.relation.KeyIndex`), :func:`pack` codes the
   key columns of every side into one order-preserving int64 per row,
   equal exactly where the row path's dict would equate the key tuples,
-  or refuses (:func:`key_code` maps one key tuple the same way), and
-  :func:`dense` renumbers those codes densely by first appearance.
+  or refuses (:func:`key_code` maps one key tuple through its layout,
+  :func:`key_codes` another relation's key columns), and :func:`dense`
+  renumbers those codes densely by first appearance.
   :func:`key_groups` is γ's use of the pair, with the row path's dict
   grouping for a key the coder refuses.
 * :func:`grouped_starts` — the stable-sorted order and per-group start
@@ -71,6 +72,7 @@ arbitrary-precision integers define the semantics.
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass
 from itertools import chain
@@ -129,12 +131,14 @@ def column_to_array(values: Sequence) -> np.ndarray:
     int64/float64/bool dtypes for uniform numeric columns, but silently
     coerces mixed ones — ``[True, 2]`` flattens to int64 (dropping the
     bool), ``[1, 2.5]`` to float64 (dropping the int), ``['', 0]``
-    stringifies the int, and older numpy turns ``[None, 1.0]`` into
-    ``[nan, 1.0]``.  Any such column — along with ragged, oversized-int,
-    and numpy-scalar-bearing ones — becomes an object array instead, so
-    every Python value round-trips unchanged.  Faithfulness is what lets
-    provider-backed batches reconstruct rows, group keys, and η hash
-    inputs that are bit-identical to the row path.
+    stringifies the int, older numpy turns ``[None, 1.0]`` into
+    ``[nan, 1.0]``, and a ``U`` / ``S`` array drops a value's trailing
+    NULs (``"a\\x00"`` reads back ``"a"``).  Any such column — along with
+    ragged, oversized-int, and numpy-scalar-bearing ones — becomes an
+    object array instead, so every Python value round-trips unchanged.
+    Faithfulness is what lets provider-backed batches reconstruct rows,
+    group keys, and η hash inputs that are bit-identical to the row
+    path.
     """
     try:
         arr = np.asarray(values)
@@ -148,12 +152,20 @@ def column_to_array(values: Sequence) -> np.ndarray:
         # set(map(type, ...)) is the cheapest full-column type scan: one
         # C-level pass that also catches None (NoneType ∉ allowed) and
         # numpy scalars (np.int64 ∉ allowed).
-        if allowed is not None and set(map(type, values)) <= allowed:
+        if allowed is not None and set(map(type, values)) <= allowed and (
+                kind not in "US" or not _dropped_nul(values, arr)):
             return arr
     out = np.empty(len(values), dtype=object)
     for i, v in enumerate(values):
         out[i] = v
     return out
+
+
+def _dropped_nul(strings: Sequence, arr: np.ndarray) -> bool:
+    """Whether the ``U`` / ``S`` array ``arr`` of ``strings`` lost a
+    value's trailing NULs (numpy strips them): a length count, with no
+    copy of the text."""
+    return sum(map(len, strings)) != int(np.char.str_len(arr).sum())
 
 
 def as_object_array(arr: np.ndarray) -> np.ndarray:
@@ -600,6 +612,57 @@ def key_code(layout: list, key: tuple) -> Optional[int]:
             return None
         code = code * span + digit
     return code
+
+
+def key_codes(layout: list, columns: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """:func:`key_code` for every row of the key ``columns``, in numpy:
+    a row's code, or -1 where no packed row can hold its key — or None
+    where a column's kind is not the one the layout was packed from."""
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    if not len(code):
+        return code  # an empty column's dtype says nothing
+    found = np.ones(len(code), dtype=bool)
+    for arr, ((lo, hi, values), span, squeeze) in zip(columns, layout):
+        if arr.dtype.kind != ("i" if values is None else values.dtype.kind):
+            return None
+        if values is None:
+            found &= (arr >= lo) & (arr <= hi)
+            digit = arr - lo
+        else:
+            digit = _found(values, arr, found)
+        if squeeze is not None:
+            code = _found(squeeze[0], code, found)
+            digit = _found(squeeze[1], digit, found)
+        code = code * span + digit
+    return np.where(found, code, -1)
+
+
+def grown(layout: list, first: np.ndarray) -> list:
+    """``layout`` with the ``value − lo`` range of its first column
+    raised to ``first``'s largest value, where no code changes by it:
+    the first column is the most significant, so a higher top only adds
+    codes above the old ones — unless a column was renumbered densely
+    (its squeeze holds the old codes) or the codes would reach 2⁶²."""
+    (lo, hi, values), span, _ = layout[0]
+    if values is not None or first.dtype.kind != "i" or not len(first) or any(
+            squeeze is not None for _, _, squeeze in layout):
+        return layout
+    top = int(first.max())
+    rest = math.prod(span for _, span, _ in layout[1:])
+    if top <= hi or (top - lo + 1) * rest >= _INT64_SAFE:
+        return layout
+    return [((lo, top, None), top - lo + 1, None)] + layout[1:]
+
+
+def _found(ordered: np.ndarray, arr: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Positions of ``arr``'s values in the sorted ``ordered``; clears
+    ``found`` where a value is not there."""
+    at = ordered.searchsorted(arr)
+    if not len(ordered):
+        found[:] = False
+        return at
+    found &= ordered[np.minimum(at, len(ordered) - 1)] == arr
+    return at
 
 
 def _as_kind(value, kind: str):

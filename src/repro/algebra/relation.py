@@ -42,7 +42,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.algebra.columnar import ColumnarRelation, key_code, pack, rows_at
+from repro.algebra.columnar import (
+    ColumnarRelation,
+    grown,
+    key_code,
+    key_codes,
+    pack,
+    rows_at,
+)
 from repro.algebra.schema import Schema, as_schema
 from repro.errors import SchemaError
 
@@ -60,14 +67,14 @@ class KeyIndex:
 
     Every row's key is reduced to one int64 *code*; the index is two
     arrays — the codes sorted, and the row order that sorts them —
-    probed by ``searchsorted`` (16 B per row).  Where the one key coder
-    (:func:`~repro.algebra.columnar.pack`) takes the key columns, the
-    codes are its codes, computed in numpy, and a looked-up key maps
-    through the same layout.  A key it refuses (object columns, NaN)
-    numbers its distinct key tuples in a dict (key tuple → code).
-    Either way a lookup equates exactly what a dict keyed by the rows'
-    key tuples would (``3.0`` finds ``3``).  Neither form is ever handed
-    out for writing: pending deltas are resolved by lookup on top of it
+    probed by ``searchsorted`` (16 B per row).  A key the one key coder
+    (:func:`~repro.algebra.columnar.pack`) coded when the index was
+    built has the code its layout gives (non-negative); any other key —
+    every key, where the coder refused the columns (object, NaN) — is
+    numbered in a dict (key tuple → negative code).  Either way a lookup
+    equates exactly what a dict keyed by the rows' key tuples would
+    (``3.0`` finds ``3``).  Nothing is ever handed out for writing:
+    pending deltas are resolved by lookup on top of it
     (:meth:`repro.db.database.Database.update`), and :meth:`patched`
     derives a successor's index into fresh arrays and a fresh dict.
     """
@@ -75,69 +82,86 @@ class KeyIndex:
     __slots__ = ("_layout", "_ids", "_codes", "_order")
 
     def __init__(self, rel: "Relation"):
-        self._ids = None
+        self._ids = {}
         packed = pack([rel.columnar().arrays(rel.key)])
         if packed is not None:
             codes, self._layout = packed
         else:
-            self._ids = {}
-            codes = self._number(_key_tuples(rel, rel.key), 0)
-        self._sort(codes)
-
-    def _sort(self, codes: np.ndarray) -> None:
+            self._layout = None
+            codes = self._number(_key_tuples(rel, rel.key), -1)
         self._order = np.argsort(codes, kind="stable")
         self._codes = codes[self._order]
 
     def _number(self, keys: Iterable[tuple], fresh: int) -> np.ndarray:
-        """Dict-form codes of ``keys``; unseen keys are numbered from
-        ``fresh`` on, in this index's own (not yet published) dict."""
+        """Dict codes of ``keys``; unseen keys are numbered from
+        ``fresh`` down, in this index's own (not yet published) dict."""
         ids = self._ids
-        codes = []
-        for key in keys:
-            code = ids.get(key)
-            if code is None:
-                code = ids[key] = fresh
-                fresh += 1
-            codes.append(code)
-        return np.array(codes, dtype=np.int64)
+        top = fresh + len(ids)
+        return np.fromiter(
+            (ids.setdefault(key, top - len(ids)) for key in keys), np.int64)
 
     def patched(
         self, base: "Relation", drop: list, tail: "Relation", out: "Relation"
     ) -> "KeyIndex":
         """The index of ``out = base.patched(drop, tail)`` from this one
-        (``base``'s).
+        (``base``'s), in numpy over the rows and Python over new keys.
 
-        The coded form re-packs ``out``'s key columns, which were
-        carried — numpy only.  The dict form copies the numbering,
-        numbers ``tail``'s keys and forgets each key whose last row was
-        dropped: Python work on the delta rows only, and every code in
-        the dict stays the code of some row, so new keys can be numbered
-        from the largest code up.
+        The layout is shared — its first int column's range raised to
+        the inserted keys' top while the dict is empty
+        (:func:`~repro.algebra.columnar.grown`: rising keys stay coded) —
+        and the dict copied; ``tail``'s keys are coded through the
+        layout (:func:`~repro.algebra.columnar.key_codes`), the rest
+        numbered in the dict below the smallest code.  A dict
+        key whose last row was dropped is forgotten, so every dict code
+        stays the code of some row.  The surviving codes stay sorted and
+        ``tail``'s are merged in.  A coded index is re-packed from
+        ``out`` instead when a tail key column is not of the layout's
+        kind, or when the dict would hold keys of over half the rows (a
+        re-pack at most once per |R| / 2 new keys).
         """
-        if self._ids is None:
+        layout, added = self._layout, np.full(len(tail), -1, dtype=np.int64)
+        if layout is not None:
+            columns = tail.columnar().arrays(base.key)
+            if not self._ids:  # no dict key can fall in the wider range
+                layout = grown(layout, columns[0])
+            added = key_codes(layout, columns)
+            if added is None:
+                return KeyIndex(out)
+        missing = np.flatnonzero(added < 0)
+        if layout is not None and 2 * (len(self._ids) + len(missing)) > len(out):
             return KeyIndex(out)
         new = object.__new__(KeyIndex)
-        new._ids = dict(self._ids)
-        codes = np.empty(len(self._order), dtype=np.int64)
-        codes[self._order] = self._codes
-        fresh = int(self._codes[-1]) + 1 if len(codes) else 0
-        added = new._number(_key_tuples(tail, base.key), fresh)
-        new._sort(np.concatenate([np.delete(codes, drop), added]))
-        rows, key_of = base.rows, base.key_of
-        for pos in drop:
-            key = key_of(rows[pos])
+        new._layout, new._ids = layout, dict(self._ids)
+        if len(missing):
+            fresh = min(int(self._codes[0]), 0) - 1 if len(self._codes) else -1
+            keys = rows_at(list(_key_tuples(tail, base.key)), missing)
+            added[missing] = new._number(keys, fresh)
+        order, codes, lost = self._order, self._codes, []
+        if drop:
+            gone = np.zeros(len(order), dtype=bool)
+            gone[drop] = True
+            keep = ~gone[order]
+            rows, key_of = base.rows, base.key_of
+            lost = [key_of(rows[pos])  # the dropped rows the dict coded
+                    for pos in order[~keep][codes[~keep] < 0].tolist()]
+            order, codes = order[keep], codes[keep]
+            order -= np.cumsum(gone)[order]
+        sort = np.argsort(added, kind="stable")
+        at = codes.searchsorted(added[sort], "right")
+        new._codes = np.insert(codes, at, added[sort])
+        new._order = np.insert(order, at, len(codes) + sort)
+        for key in lost:
             if not len(new.positions(key)):
                 new._ids.pop(key, None)
         return new
 
     def positions(self, key: tuple) -> Sequence[int]:
         """Every row position holding ``key``, ascending."""
-        if self._ids is not None:
-            code = self._ids.get(key)
-        else:
-            code = key_code(self._layout, key)
+        code = None if self._layout is None else key_code(self._layout, key)
         if code is None:
-            return ()
+            code = self._ids.get(key)
+            if code is None:
+                return ()
         first = int(self._codes.searchsorted(code, "left"))
         last = int(self._codes.searchsorted(code, "right"))
         return self._order[first:last].tolist()

@@ -154,6 +154,7 @@ class TestFaithfulArrays:
         assert column_to_array([True, False]).dtype.kind == "b"
         assert column_to_array(["a", "bc"]).dtype.kind == "U"
         assert column_to_array([b"a", b"bc"]).dtype.kind == "S"
+        assert column_to_array(["a\x00b", "c"]).dtype.kind == "U"
 
     @pytest.mark.parametrize(
         "values",
@@ -164,6 +165,8 @@ class TestFaithfulArrays:
             [np.int64(3), 4],  # numpy scalars must round-trip as given
             ["", 0],  # int must not stringify
             [None, "a"],
+            ["a", "a\x00"],  # a U array would drop the trailing NUL
+            [b"a\x00", b"b"],
         ],
     )
     def test_mixed_columns_fall_back_to_object(self, values):

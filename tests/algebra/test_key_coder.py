@@ -35,7 +35,9 @@ from repro.algebra import (
 from repro.algebra.columnar import (
     column_to_array,
     dense,
+    grown,
     key_code,
+    key_codes,
     key_groups,
     pack,
 )
@@ -60,6 +62,8 @@ CASES = {
     "float_vs_bool": ([[(1.0,), (0.5,)], [(True,), (False,)]], False),
     "strings": ([[("a",), ("b",), ("a",), ("",)], [("b",), ("zz",)]], False),
     "bytes": ([[(b"a",), (b"b",)], [(b"b",), (b"",)]], False),
+    "nul_strings": ([[("a",), ("a\x00",), ("a",)], [("a\x00",), ("b",)]], True),
+    "nul_bytes": ([[(b"a\x00",), (b"a",)], [(b"a",)]], True),
     "str_vs_int": ([[("1",), ("2",)], [(1,), (2,)]], True),
     "mixed_U_i": ([[("a", 1), ("b", 2), ("a", 1), ("a", 2)],
                    [("b", 2), ("c", 1)]], False),
@@ -141,6 +145,59 @@ def test_coder_numbers_keys_as_a_dict_does(name):
             assert (codes[i] < codes[j]) == less
 
 
+@cases
+def test_key_codes_code_columns_as_key_code_codes_tuples(name):
+    """The numpy form of :func:`key_code`: the packed side's own columns
+    get their packed codes back; another side's rows get ``key_code``'s
+    code, or -1 where it has none — or None when a column's kind is
+    not the layout's."""
+    sides, refused = CASES[name]
+    width = len(key_names(sides))
+    packed = pack([side_arrays(sides[0], width)]) if sides[0] else None
+    if packed is None:
+        return
+    codes, layout = packed
+    assert key_codes(layout, side_arrays(sides[0], width)).tolist() == (
+        codes.tolist())
+    for side in sides[1:]:
+        got = key_codes(layout, side_arrays(side, width))
+        kinds = [a.dtype.kind for a in side_arrays(side, width)]
+        same = kinds == [
+            "i" if values is None else values.dtype.kind
+            for (_, _, values), _, _ in layout]
+        assert (got is not None) == (same or not side)
+        if got is not None:
+            want = [key_code(layout, k) for k in side]
+            assert got.tolist() == [-1 if c is None else c for c in want]
+
+
+@cases
+def test_grown_layout_keeps_every_code(name):
+    """Raising the first column's top adds codes above the old ones and
+    changes none; a squeezed or text layout, or one whose codes would
+    reach 2⁶², stays as it is."""
+    sides, refused = CASES[name]
+    width = len(key_names(sides))
+    if refused or not sides[0]:
+        return
+    arrays = side_arrays(sides[0], width)
+    codes, layout = pack([arrays])
+    (lo, hi, values), _, _ = layout[0]
+    top = np.array([hi + 5 if values is None else 0])
+    wide = grown(layout, top)
+    flat = set(sides[0])
+    if wide is layout:
+        assert values is not None or any(sq is not None for _, _, sq in layout) or (
+            (hi + 5 - lo + 1) * int(np.prod([s for _, s, _ in layout[1:]],
+                                            dtype=object)) >= 1 << 62)
+        return
+    assert wide[0][0] == (lo, hi + 5, None) and wide[1:] == layout[1:]
+    assert key_codes(wide, arrays).tolist() == codes.tolist()
+    new = (hi + 5,) + sides[0][0][1:]
+    assert new not in flat and key_code(wide, new) > int(codes.max())
+    assert key_code(layout, new) is None
+
+
 @pytest.mark.parametrize("name", ["radix_overflow", "wide_digit"])
 def test_radix_overflow_renumbers_and_still_maps_scalar_keys(name):
     sides, _ = CASES[name]
@@ -151,19 +208,6 @@ def test_radix_overflow_renumbers_and_still_maps_scalar_keys(name):
     flat = [k for side in sides for k in side]
     assert [key_code(layout, k) for k in flat] == codes.tolist()
     assert key_code(layout, (1,) * width) is None
-
-
-def test_none_keys_group_like_the_row_path():
-    """``None`` and ``1`` / ``1.0`` in one group-by column: the dict
-    keeps ``None`` and the first of ``1`` / ``1.0``."""
-    rel = Relation(
-        Schema(["k", "v"]),
-        [(None, 1.0), (1, 2.0), (None, 3.0), (1.0, 4.0)],
-        name="R",
-    )
-    gid, keys = key_groups([rel.columnar()], ["k"])
-    assert keys == [(None,), (1,)] and type(keys[1][0]) is int
-    assert gid.tolist() == [0, 1, 0, 1]
 
 
 @cases
@@ -240,7 +284,7 @@ def test_key_index_finds_what_a_dict_finds(name):
     for side in sides:
         rel = keyed(side, names, key=tuple(names))
         index = KeyIndex(rel)
-        assert (index._ids is None) == (
+        assert (index._layout is not None) == (
             pack([side_arrays(side, len(names))]) is not None)
         by_key = {}
         for pos, k in enumerate(side):
@@ -250,10 +294,32 @@ def test_key_index_finds_what_a_dict_finds(name):
                 assert list(index.positions(k)) == by_key.get(k, []), k
 
 
+@cases
+def test_patched_key_index_finds_what_a_dict_finds(name):
+    """Two periods — every other row dropped and the other side's rows
+    appended, then the first row dropped and the first side's appended
+    again — patch the index (or re-pack it, where a tail column changed
+    kind); it finds what a dict of lists over the rows finds."""
+    sides, _ = CASES[name]
+    names = key_names(sides)
+    rel = keyed(sides[0], names, key=tuple(names))
+    rel.key_lookup()
+    for drop, side in ((range(0, len(rel), 2), sides[1]), ([0], sides[0])):
+        drop = [p for p in drop if p < len(rel)]
+        rel = rel.patched(drop, keyed(side, names, key=tuple(names)))
+        index = rel._sample_cache["__keyindex__"]
+        by_key = {}
+        for pos, row in enumerate(rel.rows):
+            by_key.setdefault(row[:len(names)], []).append(pos)
+        for key in [k for s in sides for k in s] or [(1,) * len(names)]:
+            for k in probes(key):
+                assert list(index.positions(k)) == by_key.get(k, []), k
+
+
 def test_key_index_probe_of_the_same_nan_object():
     rel = keyed([(NAN,), (1.0,)], ["k"], key=("k",))
     index = KeyIndex(rel)
-    assert index._ids is not None
+    assert index._layout is None
     assert index.positions((NAN,)) == [0]
     assert index.positions((float("nan"),)) == ()
     assert np.isnan(rel.rows[index.last((NAN,))][0])

@@ -233,7 +233,10 @@ def test_patched_relation_equals_rebuilt(scenario):
                     r for r in new.rows if new.key_of(r) == key]
             for key in set(live) | {tuple(r[:len(key_cols)]) for r in rows}:
                 assert (index.last(key) >= 0) == (key in by_key)
-            if index._ids is not None:  # dict form: no key outlives its rows
+            # No dict key outlives its rows; without a layout, the dict
+            # holds every key.
+            assert set(index._ids) <= set(by_key)
+            if index._layout is None:
                 assert set(index._ids) == set(by_key)
 
             # One η kernel: relation level, evaluator node, both engines.
@@ -367,7 +370,7 @@ def test_key_index_forms_agree():
                     [(1, 2, "x"), (1, 3, "y"), (5, 2, "z"), (1, 2, "dup")],
                     key=("a", "b"))
     index = ints.key_lookup()
-    assert index._ids is None and ints.key_lookup() is index
+    assert index._layout is not None and ints.key_lookup() is index
     assert index.positions((1, 2)) == [0, 3] and index.last((1, 2)) == 3
     assert index.last((1.0, True + 1)) == 3
     for missing in [(1, 4), (0, 2), (9, 9), ("1", 2), (None, 2), (1.5, 2),
@@ -387,29 +390,34 @@ def test_key_index_forms_agree():
                   key=("a",)), False),
     ):
         index = KeyIndex(rel)
-        assert (index._ids is None) == coded
+        assert (index._layout is not None) == coded
         for key, row in rel.key_index().items():
             assert rel.rows[index.last(key)] == row
         assert index.last(("nope",)) == -1
 
 
-def test_dict_form_key_index_is_patched_not_rebuilt(monkeypatch):
-    """A key the key coder refuses (an object column: strings next to an
-    int) still costs a period only its deltas: the successor's index is
-    derived from the predecessor's (which stays as it was), and
-    ``fresh_leaves()`` builds none."""
+@pytest.mark.parametrize("extra", [[], [(50, 50)]], ids=["str", "object"])
+def test_key_index_is_patched_not_rebuilt(monkeypatch, extra):
+    """A period costs the key index only its deltas, whether the key
+    coder takes the keys (strings: the layout is shared, keys new since
+    the build join the dict) or refuses them (strings next to an int:
+    the dict holds every key).  The successor's index is derived from
+    the predecessor's (which stays as it was), and ``fresh_leaves()``
+    builds none."""
     db = Database()
-    rows = [(f"k{i}", i) for i in range(50)] + [(50, 50)]
+    rows = [(f"k{i}", i) for i in range(50)] + extra
     db.add_relation(Relation(Schema(["k", "v"]), rows, key=("k",), name=NAME))
     first = db.relation(NAME).key_lookup()
+    coded = first._layout is not None
+    assert coded == (not extra)
     builds = []
     real_init = KeyIndex.__init__
     monkeypatch.setattr(
         KeyIndex, "__init__",
         lambda self, rel: builds.append(rel) or real_init(self, rel))
     for period in range(3):
-        old = db.relation(NAME)
-        held = dict(old.key_lookup()._ids)
+        old = db.relation(NAME).key_lookup()
+        held = dict(old._ids), old._codes.copy(), old._order.copy()
         db.delete_by_key(NAME, [(f"k{period}",), (f"k{period + 10}",)])
         db.update(NAME, [(f"k{period + 20}", -period)])
         db.insert(NAME, [(f"new{period}", period), (f"k{period}", 100)])
@@ -419,14 +427,58 @@ def test_dict_form_key_index_is_patched_not_rebuilt(monkeypatch):
         new = db.relation(NAME)
         index = new._sample_cache["__keyindex__"]
         assert new.rows == fresh.rows and index is new.key_lookup()
-        assert old.key_lookup()._ids == held
+        assert index._layout is first._layout
+        assert old._ids == held[0]
+        assert old._codes.tolist() == held[1].tolist()
+        assert old._order.tolist() == held[2].tolist()
         by_key = new.key_index()
-        assert set(index._ids) == set(by_key)
+        assert set(index._ids) == (
+            {(f"new{p}",) for p in range(period + 1)} if coded else set(by_key))
         for key, row in by_key.items():
             assert [new.rows[p] for p in index.positions(key)] == [row]
         assert index.last((f"k{period + 10}",)) == -1
-    assert not builds and first._ids == {
-        **{(f"k{i}",): i for i in range(50)}, (50,): 50}
+    assert not builds and first._ids == ({} if coded else {
+        **{(f"k{i}",): -1 - i for i in range(50)}, (50,): -51})
+
+
+def test_rising_int_keys_widen_the_layout(monkeypatch):
+    """Keys above the first key column's range (a counter's next values)
+    widen that range: they stay coded, the dict stays empty and nothing
+    is re-packed.  Once the dict holds a key (2⁶² would take the codes
+    past int64), the range stays put, so no dict key becomes codable
+    under a code its rows do not carry."""
+    db = Database()
+    rows = [(i, j, 0) for i in range(10) for j in range(3)]
+    db.add_relation(
+        Relation(Schema(["k", "n", "v"]), rows, key=("k", "n"), name=NAME))
+    db.relation(NAME).key_lookup()
+    builds = []
+    real_init = KeyIndex.__init__
+    monkeypatch.setattr(
+        KeyIndex, "__init__",
+        lambda self, rel: builds.append(rel) or real_init(self, rel))
+
+    def check():
+        new = db.relation(NAME)
+        index = new.key_lookup()
+        for key, row in new.key_index().items():
+            assert [new.rows[p] for p in index.positions(key)] == [row]
+        return index
+
+    for period in range(3):
+        db.insert(NAME, [(10 + period, j, 1) for j in range(3)])
+        db.delete_by_key(NAME, [(period, 0)])
+        db.apply_deltas()
+        index = check()
+        assert not index._ids and index._layout[0][0][1] == 10 + period
+    db.insert(NAME, [(20, 0, 2), (2 ** 62, 0, 2)])
+    db.apply_deltas()
+    assert set(check()._ids) == {(20, 0), (2 ** 62, 0)}
+    db.insert(NAME, [(25, 1, 3)])
+    db.apply_deltas()
+    index = check()
+    assert index._layout[0][0][1] == 12 and (25, 1) in index._ids
+    assert not builds
 
 
 # ----------------------------------------------------------------------
@@ -627,9 +679,8 @@ def test_steady_state_period_hashes_and_indexes_only_its_deltas(monkeypatch):
         assert set(calls) <= ins_keys | del_keys
         assert len(calls) < lineitem // 4
         assert not dict_builds
-        # apply_deltas() re-derives the carried index once per relation
-        # that had one; nothing else builds any.
-        assert len(index_builds) <= 2
+        # apply_deltas() patches the carried index; nothing builds one.
+        assert not index_builds
     finally:
         set_hash_family("sha1")
         stats_hashing.HASH_FAMILIES.pop("counting", None)
