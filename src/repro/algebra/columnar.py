@@ -33,7 +33,8 @@ execution backend:
   :func:`key_codes` another relation's key columns), and :func:`dense`
   renumbers those codes densely by first appearance.
   :func:`key_groups` is γ's use of the pair, with the row path's dict
-  grouping for a key the coder refuses.
+  grouping for a key the coder refuses, and :func:`in_key_set` a
+  key-set probe's use of :func:`pack`.
 * :func:`grouped_starts` — the stable-sorted order and per-group start
   offsets that feed ``np.ufunc.reduceat``-style grouped reductions.
 * :func:`patch_column` / :meth:`ColumnarRelation.patched` — how a base
@@ -92,6 +93,7 @@ __all__ = [
     "concat_columns",
     "dense",
     "grouped_starts",
+    "in_key_set",
     "key_code",
     "key_groups",
     "object_array",
@@ -270,7 +272,8 @@ class ColumnarRelation:
         """A row-backed batch over a list of row tuples (shared, not
         copied); each column is converted from them on first access,
         except those ``providers`` hand over ready (arrays equal to that
-        conversion, built from what the caller already holds)."""
+        conversion, built from what the caller already holds; a
+        provider answering None leaves its column to the conversion)."""
         self = cls()
         self.schema = schema
         self._rows = rows
@@ -407,12 +410,15 @@ class ColumnarRelation:
                 # across threads, so the release is race-tolerant: a
                 # concurrent reader at worst re-runs the provider
                 # (idempotent) — pop() never raises and the cache was
-                # written before the provider disappeared.
-                self._arrays[name] = arr
+                # written before the provider disappeared.  A row-backed
+                # batch's provider may answer None: convert the rows.
+                if arr is not None:
+                    self._arrays[name] = arr
                 providers.pop(name, None)
                 if not providers:
                     self._providers = None
-                return arr
+                if arr is not None:
+                    return arr
         # No pending provider: cached concurrently, row-backed, or a
         # genuinely unknown column.
         arr = self._arrays.get(name)
@@ -635,6 +641,27 @@ def key_codes(layout: list, columns: Sequence[np.ndarray]) -> Optional[np.ndarra
             digit = _found(squeeze[1], digit, found)
         code = code * span + digit
     return np.where(found, code, -1)
+
+
+def in_key_set(columns: Sequence[np.ndarray], keys) -> Optional[np.ndarray]:
+    """Which rows of the key ``columns`` hold a tuple of the set
+    ``keys``, as ``key in keys`` decides it — or None where the coder
+    refuses (an object column, a NaN, a cross-kind pair) or a member is
+    not a plain tuple.  The members' columns are packed with the rows'
+    (:func:`pack`) and the rows' codes looked up in theirs with
+    ``np.isin``; a tuple of another width equals no row."""
+    if any(type(k) is not tuple for k in keys):
+        return None
+    width = len(columns)
+    keys = [k for k in keys if len(k) == width]
+    n = len(columns[0])
+    if not keys:
+        return np.zeros(n, dtype=bool)
+    packed = pack([columns, [column_to_array([k[i] for k in keys])
+                             for i in range(width)]])
+    if packed is None:
+        return None
+    return np.isin(packed[0][:n], packed[0][n:])
 
 
 def grown(layout: list, first: np.ndarray) -> list:

@@ -278,20 +278,6 @@ def leaf_signature(expr: Expr, leaves: Mapping) -> tuple:
     return tuple(sig)
 
 
-def _is_indexed_membership(expr: Select) -> bool:
-    """The σ_{col ∈ K}(BaseRel) shape served by the leaf value index.
-
-    That fast path returns rows in *key-set iteration order*, not scan
-    order, so it must stay a generic stage — folding it into a mask
-    chain would reorder its output.
-    """
-    return (
-        isinstance(expr.child, BaseRel)
-        and isinstance(expr.predicate, IsIn)
-        and isinstance(expr.predicate.term, Col)
-    )
-
-
 # ----------------------------------------------------------------------
 # Pipeline stages
 # ----------------------------------------------------------------------
@@ -486,9 +472,8 @@ def compile_plan(expr: Expr, leaves: Mapping) -> CompiledPlan:
 
     def chain_absorbs(node: Expr) -> bool:
         """May ``node`` be folded into a σ/Π chain (vs owning a slot)?"""
-        if isinstance(node, Select):
-            return not _is_indexed_membership(node)
-        return isinstance(node, Project) and bool(node.outputs)
+        return isinstance(node, Select) or (
+            isinstance(node, Project) and bool(node.outputs))
 
     def collect_chain(top: Expr):
         """The maximal absorbable chain under ``top`` (its own objects,

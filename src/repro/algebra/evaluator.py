@@ -90,6 +90,7 @@ from repro.algebra.columnar import (
     grouped_starts,
     key_groups,
     pack,
+    patch_column,
     rows_at,
     scatter_column,
 )
@@ -330,9 +331,6 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
             return out
         return Relation(rel.schema, rel.rows, key=rel.key, name=expr.name)
     if isinstance(expr, Select):
-        fast = _indexed_membership_select(expr, leaves)
-        if fast is not None:
-            return fast
         child = _eval(expr.child, leaves, memo)
         if _COLUMNAR[0] and len(child):
             mask = _try_mask(expr.predicate, child)
@@ -406,39 +404,6 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
     if isinstance(expr, Merge):
         return _eval_merge(expr, leaves, memo)
     raise EvaluationError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _indexed_membership_select(expr: Select, leaves) -> Relation:
-    """Fast path: σ_{col ∈ K}(BaseRel) through a cached value index.
-
-    Key-set pulls (outlier-index materialization, §6.2) select a small
-    number of key values from a base relation; a database would serve
-    them from a B-tree.  We cache a value→rows index on the (immutable)
-    leaf relation so the selection costs O(|K| + output) instead of a
-    full scan.
-    """
-    from repro.algebra.predicates import Col, IsIn
-
-    pred = expr.predicate
-    if not (isinstance(expr.child, BaseRel) and isinstance(pred, IsIn)
-            and isinstance(pred.term, Col)):
-        return None
-    leaf = leaves.get(expr.child.name) if hasattr(leaves, "get") else None
-    if leaf is None:
-        return None
-    cache = leaf.sample_cache()
-    cache_key = ("__valindex__", pred.term.name)
-    index = cache.get(cache_key)
-    if index is None:
-        pos = leaf.schema.index(pred.term.name)
-        index = {}
-        for row in leaf.rows:
-            index.setdefault(row[pos], []).append(row)
-        cache[cache_key] = index
-    rows = []
-    for value in pred.values:
-        rows.extend(index.get(value, ()))
-    return Relation(leaf.schema, rows, key=leaf.key)
 
 
 def _try_mask(predicate, relation):
@@ -577,12 +542,11 @@ def _try_setop(expr, left, right, leaves):
     matched = _try_key_matches(left, right, key)
     if matched is None:
         return None
-    lhit, rhit, lkeys, rkeys = matched
+    lhit, rhit = matched
     if isinstance(expr, Union):
-        kept = np.flatnonzero(~rhit)
-        return _concat_rows(left, right, kept, key, lkeys, rkeys)
+        return _concat_rows(left, right, np.flatnonzero(~rhit), key)
     keep = lhit if isinstance(expr, Intersect) else ~lhit
-    return _pick_rows(left, np.flatnonzero(keep), key, lkeys)
+    return _pick_rows(left, np.flatnonzero(keep), key)
 
 
 def _try_key_matches(left, right, key):
@@ -596,12 +560,10 @@ def _try_key_matches(left, right, key):
     deduplication — and a key the coder refuses falls back.  Whole-row
     equality is then checked on the candidate pairs alone, as the row
     path checks it (:func:`_try_rows_at`).  Returns
-    ``(left hits, right hits, left key arrays, right key arrays)``.
+    ``(left hits, right hits)``.
     """
     try:
-        lkeys = left.columnar().arrays(key)
-        rkeys = right.columnar().arrays(key)
-        packed = pack([lkeys, rkeys])
+        packed = pack([left.columnar().arrays(key), right.columnar().arrays(key)])
         if packed is None:
             return None
         lcodes, rcodes = packed[0][:len(left)], packed[0][len(left):]
@@ -628,7 +590,7 @@ def _try_key_matches(left, right, key):
         # An exotic value whose == raises: the row path raises it too,
         # or decides by hash first — either way it is the reference.
         return None
-    return lhit, rhit, lkeys, rkeys
+    return lhit, rhit
 
 
 def _try_rows_at(rel, positions):
@@ -653,10 +615,35 @@ def _try_rows_at(rel, positions):
     return list(zip(*columns))
 
 
-def _row_backed(schema, rows: list, providers=None) -> Relation:
-    """A relation over ``rows`` whose batch converts its columns from
-    them, apart from the ready ``providers``."""
+#: Python types of the columns the set operators take from their
+#: inputs' arrays (:func:`_row_backed`).
+_NUMERIC = (bool, int, float)
+
+
+def _row_backed(schema, rows: list, key, column) -> Relation:
+    """A relation over ``rows`` (the tuples of row-backed inputs) whose
+    batch takes some columns from the inputs' arrays.
+
+    ``column(name)`` builds one from them — or None where
+    :func:`~repro.algebra.columnar.patch_column` cannot say it equals
+    converting the column from ``rows``, which then happens instead.
+    Taken are the ``key`` columns (the candidate search built their
+    arrays) and every column whose first value is a bool, int or float.
+    An input array is built once on the input: for a base relation it
+    is carried into the next period (:meth:`ColumnarRelation.patched`),
+    so a fresh version ``(R − ∇R) ∪ ΔR`` converts only ΔR's numeric
+    columns.  String and object columns are converted from ``rows`` when
+    read: a full-width copy of them on every base relation would cost
+    more memory than their conversion costs time.
+    """
     out = Relation.trusted(schema, rows)
+    providers = None
+    if rows:
+        providers = {
+            name: (lambda name=name: column(name))
+            for name, value in zip(schema.columns, rows[0])
+            if name in key or type(value) in _NUMERIC
+        }
     out._columnar = ColumnarRelation.from_rows(schema, rows, providers)
     return out
 
@@ -670,38 +657,50 @@ def _same_rows(rel: Relation) -> Relation:
     return Relation.from_columnar(rel.columnar())
 
 
-def _pick_rows(rel, positions, key, key_arrays) -> Relation:
+def _pick_rows(rel, positions, key) -> Relation:
     """``rel``'s rows at ``positions``.
 
     How the output looks follows how ``rel``'s batch was built, never
     what it has cached — the rule of :func:`eta_sample`.  Over row
     tuples (a base relation, or a set-op output over one) the output
-    picks the tuples and converts a column from them when read, so no
-    full-column array of the input is built for a column only the
-    output needs; its key columns come gathered from the arrays the
-    candidate search already read.  Over columns it is a ``take``.
+    picks the tuples, and its key and numeric columns are gathers of
+    ``rel``'s arrays (:func:`_row_backed`).  Over columns it is a
+    ``take``.
     """
     batch = rel.columnar()
     if not batch.row_backed:
         return Relation.from_columnar(batch.take(positions))
-    providers = None
-    if len(positions):
-        providers = {
-            k: (lambda arr=arr: arr[positions]) for k, arr in zip(key, key_arrays)
-        }
-    return _row_backed(rel.schema, rows_at(rel.rows, positions), providers)
+    return _row_backed(
+        rel.schema, rows_at(rel.rows, positions), key,
+        lambda name: patch_column(batch.array(name), positions, None),
+    )
 
 
-def _concat_rows(left, right, kept, key=(), lkeys=(), rkeys=()) -> Relation:
+def _concat_rows(left, right, kept, key=()) -> Relation:
     """``left``'s rows followed by ``right``'s at ``kept`` (None: all).
 
-    Over two row-backed inputs the output concatenates the row lists
-    (key columns, when given, as concatenated key arrays); otherwise
-    every column is one concatenation of the two sides' arrays, built
-    when read.  Empty parts are skipped so a column keeps its dtype.
+    Over two row-backed inputs the output concatenates the row lists,
+    and its key and numeric columns concatenate the two sides' arrays
+    (:func:`_row_backed`); otherwise every column is one concatenation
+    of the two sides' arrays, built when read.  Empty parts are skipped
+    so a column keeps its dtype.
     """
     lbatch, rbatch = left.columnar(), right.columnar()
-    n = len(left) + (len(right) if kept is None else len(kept))
+    if lbatch.row_backed and rbatch.row_backed:
+
+        def column(name):
+            """``left``'s array then ``right``'s at ``kept``, or None."""
+            tail = rbatch.array(name)
+            if kept is not None:
+                tail = patch_column(tail, kept, None)
+                if tail is None:
+                    return None
+            return patch_column(
+                lbatch.array(name), None, tail if len(tail) else None
+            )
+
+        rows = right.rows if kept is None else rows_at(right.rows, kept)
+        return _row_backed(left.schema, left.rows + rows, key, column)
 
     def concat(head, tail):
         """One output column: ``head`` then ``tail`` at ``kept``."""
@@ -710,19 +709,11 @@ def _concat_rows(left, right, kept, key=(), lkeys=(), rkeys=()) -> Relation:
         parts = [p for p in (head, tail) if len(p)]
         return concat_column_parts(parts) if parts else head
 
-    if lbatch.row_backed and rbatch.row_backed:
-        tail = right.rows if kept is None else rows_at(right.rows, kept)
-        providers = None
-        if n:
-            providers = {
-                k: (lambda la=la, ra=ra: concat(la, ra))
-                for k, la, ra in zip(key, lkeys, rkeys)
-            }
-        return _row_backed(left.schema, left.rows + tail, providers)
     providers = {
         name: (lambda name=name: concat(lbatch.array(name), rbatch.array(name)))
         for name in left.schema.columns
     }
+    n = len(left) + (len(right) if kept is None else len(kept))
     return Relation.from_columnar(
         ColumnarRelation.from_providers(left.schema, providers, n)
     )

@@ -115,11 +115,6 @@ class Output:
             term = Col(term)
         self.term = _coerce(term)
 
-    @property
-    def is_passthrough(self) -> bool:
-        """True if the output is a bare column reference."""
-        return isinstance(self.term, Col)
-
     def source_column(self) -> Optional[str]:
         """The source column name for pass-through outputs, else None."""
         return self.term.name if isinstance(self.term, Col) else None

@@ -569,9 +569,16 @@ class IsIn(Predicate):
     def vector(self, cols):
         vals = self.values
         if isinstance(self.term, Tup):
-            # A multi-attribute key set: the row path's tuples, built
-            # from the component columns alone.
-            keys = zip(*(_py_values(t, cols) for t in self.term.terms))
+            # A multi-attribute key set: the component columns packed
+            # with the set's, else the row path's tuples built from them.
+            from repro.algebra.columnar import in_key_set
+
+            terms = self.term.terms
+            if all(isinstance(t, Col) for t in terms):
+                mask = in_key_set([cols.array(t.name) for t in terms], vals)
+                if mask is not None:
+                    return mask
+            keys = zip(*(_py_values(t, cols) for t in terms))
             return np.fromiter((k in vals for k in keys), dtype=bool,
                                count=cols.nrows)
         arr = self.term.vector(cols)

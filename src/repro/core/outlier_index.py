@@ -22,6 +22,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.algebra.columnar import in_key_set
 from repro.algebra.evaluator import columnar_enabled, evaluate
 from repro.algebra.expressions import Aggregate, distinct
 from repro.algebra.relation import Relation
@@ -239,10 +240,12 @@ def _try_split_columns(rel: Relation, key, outlier_keys):
         return hit[2]
     rel.schema.indexes(key)
     cols = rel.columnar()
-    is_outlier = np.fromiter(
-        (k in outlier_keys for k in zip(*(cols.pycolumn(c) for c in key))),
-        dtype=bool, count=len(rel),
-    )
+    is_outlier = in_key_set(cols.arrays(key), outlier_keys)
+    if is_outlier is None:
+        is_outlier = np.fromiter(
+            (k in outlier_keys for k in zip(*(cols.pycolumn(c) for c in key))),
+            dtype=bool, count=len(rel),
+        )
     parts = tuple(
         Relation.from_columnar(cols.take(np.flatnonzero(m)), key=rel.key)
         for m in (~is_outlier, is_outlier)

@@ -524,13 +524,6 @@ class ShardExportStore:
         """Total bytes currently held in shared-memory segments."""
         return sum(ex.manifest.nbytes for ex in self._exports.values())
 
-    def generation_of(self, slot: tuple) -> Optional[int]:
-        """The current generation of one environment slot (tests)."""
-        export_id = self._slot_exports.get(slot)
-        if export_id is None:
-            return None
-        return self._exports[export_id].manifest.generation
-
     def close(self) -> None:
         """Unlink every segment and forget all residency state."""
         for ex in list(self._exports.values()):

@@ -45,10 +45,6 @@ class ZipfGenerator:
         """``size`` independent draws (array of ints in [0, n))."""
         return self._rng.choice(self.n, size=size, p=self._probs)
 
-    def draw_one(self) -> int:
-        """A single draw."""
-        return int(self._rng.choice(self.n, p=self._probs))
-
     def pmf(self) -> np.ndarray:
         """The probability mass function over ranks 0..n-1."""
         return self._probs.copy()
@@ -62,19 +58,3 @@ def zipf_values(
 ) -> np.ndarray:
     """Convenience wrapper: ``n_values`` Zipf(z) draws over ``[0, domain)``."""
     return ZipfGenerator(domain, z, rng=rng).draw(n_values)
-
-
-def zipf_magnitudes(
-    n_values: int,
-    z: float,
-    base: float = 100.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Long-tailed positive magnitudes (e.g. prices, bytes transferred).
-
-    Values are ``base / rank`` where rank follows the bounded Zipfian over
-    a large domain — at z = 1 this gives the classic power-law tail used
-    for the ``l_extendedprice`` outlier-index experiments (§7.4).
-    """
-    ranks = zipf_values(n_values, 10_000, z, rng=rng) + 1
-    return base * (10_000.0 / ranks) ** (z / 4.0)

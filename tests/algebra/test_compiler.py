@@ -213,19 +213,18 @@ class TestFusionAndCSE:
         assert_equivalent(expr, leaves)
         assert probes
 
-    def test_indexed_membership_select_stays_generic(self, leaves):
-        # σ_{id ∈ K}(R) is served by the leaf value index, whose output
-        # order follows the key set, not the scan — it must not fuse.
-        expr = Select(BaseRel("R"), IsIn(Col("id"), frozenset({7, 3, 250})))
+    def test_membership_select_fuses_in_scan_order(self, leaves):
+        # σ_{id ∈ K}(R) is an ordinary σ: it folds into a mask chain and
+        # its rows come in the leaf's scan order, whatever the key set's.
+        expr = Select(BaseRel("R"), IsIn(Col("id"), frozenset({250, 7, 3})))
         plan = compile_plan(expr, leaves)
-        assert plan.stage_kinds() == ["leaf", "node"]
+        assert plan.stage_kinds() == ["leaf", "chain"]
         ref = evaluate(expr, leaves)
         got = plan.execute(leaves)
-        # Order-sensitive comparison: the fast path's order is part of
-        # the reference semantics.
+        want = [r for r in leaves["R"].rows if r[0] in (3, 7, 250)]
         assert [tuple(map(repr, r)) for r in got.rows] == [
             tuple(map(repr, r)) for r in ref.rows
-        ]
+        ] == [tuple(map(repr, r)) for r in want]
 
     def test_shared_chain_interior_is_not_absorbed(self, leaves):
         shared = Select(BaseRel("R"), col("val") > 30)

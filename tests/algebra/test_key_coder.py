@@ -14,7 +14,10 @@ Every consumer of the coder is checked on every entry of the table:
   alignment slot for slot, or is None on a refusal or a repeated key;
 * :class:`KeyIndex` — a lookup of any key tuple, or of a value of
   another type a dict would equate with it, finds the positions a dict
-  of lists over the rows finds.
+  of lists over the rows finds;
+* key-set probes (``in_key_set``: ``IsIn`` over a ``Tup`` of columns and
+  the outlier index's split of the stale view) — the rows whose key
+  tuple a Python set holds, and no others.
 """
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.algebra import (
     Merge,
     Relation,
     Schema,
+    Select,
     evaluate,
     set_columnar_enabled,
 )
@@ -36,13 +40,16 @@ from repro.algebra.columnar import (
     column_to_array,
     dense,
     grown,
+    in_key_set,
     key_code,
     key_codes,
     key_groups,
     pack,
 )
+from repro.algebra.predicates import Col, IsIn, Tup
 from repro.algebra.relation import KeyIndex
 from repro.core.confidence import _row_alignment, _try_alignment
+from repro.core.outlier_index import _try_split_columns
 
 NAN = float("nan")
 
@@ -323,3 +330,47 @@ def test_key_index_probe_of_the_same_nan_object():
     assert index.positions((NAN,)) == [0]
     assert index.positions((float("nan"),)) == ()
     assert np.isnan(rel.rows[index.last((NAN,))][0])
+
+
+def reprs(rows):
+    return [tuple(map(repr, r)) for r in rows]
+
+
+def key_sets(sides):
+    """Sets to probe one side's rows with: the other side's keys (first;
+    the coder refuses them only where it refuses the table entry), them
+    with tuples of other widths or non-tuples mixed in, and each probe of
+    a row's key on its own — a dict may or may not equate it with the
+    row's key."""
+    rows, other = sides
+    width = len(key_names(sides))
+    out = [frozenset(other), frozenset(other) | {(1,) * (width + 1), ()},
+           frozenset(other) | {None, "k"}]
+    for key in rows[:2]:
+        out.extend(frozenset([k]) for k in probes(key))
+    return out
+
+
+@cases
+def test_key_set_probe_finds_what_a_set_finds(name):
+    sides, refused = CASES[name]
+    names = key_names(sides)
+    for rows, other in (sides, sides[::-1]):
+        rel = keyed(rows, names, key=tuple(names))
+        for i, keys in enumerate(key_sets((rows, other))):
+            want = [k in keys for k in rows]
+            got = in_key_set(side_arrays(rows, len(names)), keys)
+            if i == 0 and not refused:
+                assert got is not None
+            if got is not None:
+                assert got.tolist() == want, keys
+            # σ over IsIn(Tup(...)), columnar ≡ row engine ...
+            expr = Select(BaseRel("R"), IsIn(Tup(*map(Col, names)), keys))
+            col_rows, row_rows = both_engines(expr, {"R": rel})
+            assert col_rows == row_rows
+            # ... and the outlier index's split of a view by its keys.
+            parts = _try_split_columns(rel, names, keys)
+            assert [reprs(p.rows) for p in parts] == [
+                reprs([r for r, hit in zip(rel.rows, want) if not hit]),
+                reprs([r for r, hit in zip(rel.rows, want) if hit]),
+            ]

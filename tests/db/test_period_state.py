@@ -4,7 +4,9 @@ The next period's relation is patched from the previous one and inherits
 its built column arrays, its η draws and its key index.  Every carried
 piece must equal what a from-scratch rebuild gives (the three-line row
 reference below is the oracle), no relation that already exists may
-change, and a steady-state period may only hash and index its deltas.
+change, and a steady-state period may only hash and index its deltas —
+and, where its plans read a fresh version ``(R − ∇R) ∪ ΔR``, convert
+only the delta rows' numeric columns.
 """
 
 from collections import Counter
@@ -20,16 +22,26 @@ from repro.algebra import (
     Aggregate,
     BaseRel,
     Hash,
+    Join,
     Relation,
     Schema,
     evaluate,
     set_columnar_enabled,
 )
+from repro.algebra import columnar
 from repro.algebra.columnar import column_to_array, patch_column
 from repro.algebra.evaluator import clear_hash_memo, eta_draws
 from repro.algebra.relation import PER_ROW, KeyIndex
 from repro.core import hash_sample
-from repro.db import Database, maintain
+from repro.db import (
+    RECOMPUTE,
+    Database,
+    classify_view,
+    deletions_name,
+    fresh_expr,
+    insertions_name,
+    maintain,
+)
 from repro.errors import MaintenanceError
 from repro.stats import hashing as stats_hashing
 from repro.stats.hashing import set_hash_family
@@ -684,3 +696,118 @@ def test_steady_state_period_hashes_and_indexes_only_its_deltas(monkeypatch):
     finally:
         set_hash_family("sha1")
         stats_hashing.HASH_FAMILIES.pop("counting", None)
+
+
+# ----------------------------------------------------------------------
+# Fresh versions: numeric columns come from the carried arrays
+# ----------------------------------------------------------------------
+#: name → (base, deleted, inserted) rows over (k, v); k is the key.
+FRESH_CASES = {
+    "int_float_tail": ([(1, 10), (2, 20)], [], [(3, 1.5)]),
+    "int_none_tail": ([(1, 10), (2, 20)], [(1, 10)], [(3, None)]),
+    "int_str_tail": ([(1, 10), (2, 20)], [], [(3, "x")]),
+    "int_big_tail": ([(1, 10), (2, 20)], [(2, 20)], [(3, 2 ** 63)]),
+    "bool_int_tail": ([(1, True), (2, False)], [], [(3, 7)]),
+    "int_bool_tail": ([(1, 5), (2, 6)], [(2, 6)], [(3, True)]),
+    "none_deleted": ([(1, None), (2, 5)], [(1, None)], [(3, 6)]),
+    "big_deleted": ([(1, 2 ** 63), (2, 5)], [(1, 2 ** 63)], [(3, 6)]),
+    "float_same_dtype": ([(1, 0.5), (2, -0.0)], [(1, 0.5)], [(3, 2.5)]),
+    "str_key_width_grows": ([("ab", 1), ("cd", 2)], [], [("abcdef", 3)]),
+    "str_key_width_shrinks": ([("ab", 1), ("abcdef", 2)], [("abcdef", 2)],
+                              [("abc", 3)]),
+    "empty_base": ([], [], [(1, 5), (2, 6)]),
+    "empty_tail": ([(1, 5), (2, 6)], [(1, 5)], []),
+    "delete_all": ([(1, 5), (2, 6)], [(1, 5), (2, 6)], [(3, 1.5)]),
+    "delete_all_no_tail": ([(1, 5)], [(1, 5)], []),
+}
+
+
+def with_x(rows):
+    """``(k, v)`` rows with a float column that follows the key."""
+    return [(k, v, float(len(repr(k)))) for k, v in rows]
+
+
+@pytest.mark.parametrize("warm_base", [False, True])
+@pytest.mark.parametrize("name", sorted(FRESH_CASES))
+def test_fresh_version_columns_equal_their_rows_conversion(name, warm_base):
+    """Every column a fresh version serves — taken from the inputs'
+    arrays or converted from its rows — is ``column_to_array`` of its
+    rows, in dtype and values, whether or not the base had built its
+    arrays (as a carried base has)."""
+    base_rows, deleted, inserted = (with_x(r) for r in FRESH_CASES[name])
+    schema = Schema(["k", "v", "x"])
+    base = Relation(schema, base_rows, key=("k",), name=NAME)
+    leaves = {
+        NAME: base,
+        insertions_name(NAME): Relation(schema, inserted, key=("k",)),
+        deletions_name(NAME): Relation(schema, deleted, key=("k",)),
+    }
+    if warm_base:
+        for col in schema.columns:
+            base.columnar().array(col)
+    frozen = freeze(base)
+    out = evaluate(fresh_expr(NAME), leaves)
+    gone = set(deleted)
+    assert [tuple(map(repr, r)) for r in out.rows] == [
+        tuple(map(repr, r))
+        for r in [r for r in base_rows if r not in gone] + inserted]
+    for pos, col in enumerate(schema.columns):
+        want = column_to_array([r[pos] for r in out.rows])
+        assert same_array(out.columnar().array(col), want), col
+    assert_unchanged(base, frozen)
+
+
+def fresh_version_views(n: int):
+    """A keyed base (int, float, bool and str columns) read through its
+    fresh version by a recompute view (γ with a holistic ``var``) and by
+    the change table of a join view (the ``fresh(R) ⋈ δS`` term)."""
+    db = Database()
+    db.add_relation(Relation(
+        Schema(["k", "g", "x", "b", "s"]),
+        [(i, i % 400, float(i), i % 2 == 0, f"s{i % 13}") for i in range(n)],
+        key=("k",), name=NAME))
+    db.add_relation(Relation(Schema(["g", "y"]),
+                             [(g, float(g)) for g in range(400)],
+                             key=("g",), name="S"))
+    catalog = Catalog(db)
+    recompute = catalog.create_view("REC", Aggregate(
+        BaseRel(NAME), ["b"], [AggSpec("v", "var", "x"), AggSpec("n", "count")]))
+    join = catalog.create_view(
+        "J", Join(BaseRel(NAME), BaseRel("S"), on=[("g", "g")]))
+    return db, recompute, join
+
+
+def test_steady_state_fresh_versions_convert_only_delta_numeric_columns(
+        monkeypatch):
+    n = 4000
+    db, recompute, join = fresh_version_views(n)
+    assert classify_view(recompute.definition) == RECOMPUTE
+
+    def period(p):
+        db.insert(NAME, [(n + 20 * p + j, j, 0.5 * j, True, "new")
+                         for j in range(20)])
+        # An update is a deletion plus an insertion.
+        db.update(NAME, [(10 * p + j, j, -1.0 * j, False, "upd")
+                         for j in range(10)])
+        db.update("S", [(p, -1.0 - p)])
+        deltas = [db.deltas.get(name) for name in (NAME, "S")]
+        assert all(d.deleted for d in deltas)
+        changed = sum(len(d.inserted) + len(d.deleted) for d in deltas)
+        maintain(recompute)
+        maintain(join)
+        db.apply_deltas()
+        return changed
+
+    for p in range(2):                          # untimed warm-up rounds
+        period(p)
+    conversions = []
+    real = columnar.column_to_array
+    monkeypatch.setattr(
+        columnar, "column_to_array",
+        lambda values: conversions.append(values) or real(values))
+    changed = period(2)
+    numeric = [len(v) for v in conversions
+               if v and type(v[0]) in (bool, int, float)]
+    # Delta rows and the change table's rows only; |R| = 4 000 rows.
+    assert numeric and max(numeric) <= 4 * changed < n // 10
+    assert sorted(join.require_data().rows) == sorted(join.fresh_data().rows)
