@@ -102,6 +102,7 @@ __all__ = [
     "patch_column",
     "rows_at",
     "scatter_column",
+    "served",
     "write_column_buffers",
 ]
 
@@ -211,8 +212,7 @@ def patch_column(base: np.ndarray, keep, tail) -> Optional[np.ndarray]:
     if not len(out):
         return tail if tail is not None else column_to_array(())
     if kind in "US" and keep is not None:
-        width = max(int(np.char.str_len(out).max()), 1)
-        out = out.astype(f"{kind}{width}", copy=False)
+        out = served(out)
     if tail is None:
         return out
     if tail.dtype == out.dtype or (kind in "US" and tail.dtype.kind == kind):
@@ -729,13 +729,17 @@ def dense(codes: np.ndarray):
 
 
 def key_groups(batches: Sequence["ColumnarRelation"], names: Sequence[str]):
-    """Group ids over several batches in one numbering, and the groups.
+    """Group ids over several batches in one numbering, and the groups'
+    key columns.
 
-    Returns ``(ids, keys)``: ``ids`` numbers the key tuples of every
-    batch's rows in turn, by first appearance, and ``keys[g]`` is group
-    ``g``'s key tuple as its first row holds it — exactly the dict
-    grouping of the row path, which a key :func:`pack` refuses still
-    takes, over the batches' Python values.
+    Returns ``(ids, columns)``: ``ids`` numbers the key tuples of every
+    batch's rows in turn, by first appearance, and ``columns[i][g]`` is
+    key column ``i`` of group ``g`` as its first row holds it — exactly
+    the dict grouping of the row path, which a key :func:`pack` refuses
+    still takes, over the batches' Python values.  Each column equals
+    :func:`column_to_array` of those values, dtype included: a coded
+    column is the first rows' gather (:func:`served`), a dict-numbered
+    one the conversion of its keys.
     """
     sides = [batch.arrays(names) for batch in batches]
     packed = pack(sides)
@@ -747,18 +751,40 @@ def key_groups(batches: Sequence["ColumnarRelation"], names: Sequence[str]):
             (index.setdefault(k, len(index)) for k in zip(*pycols)),
             dtype=np.intp, count=sum(b.nrows for b in batches),
         )
-        return ids, list(index)
+        columns = list(zip(*index)) or [()] * len(names)
+        return ids, [column_to_array(list(col)) for col in columns]
     ids, first = dense(packed[0])
     offsets = np.cumsum([0] + [b.nrows for b in batches])
     bounds = np.searchsorted(first, offsets)
     columns = [
-        concat_column_parts([
+        served(concat_column_parts([
             side[pos][first[lo:hi] - off]
             for side, lo, hi, off in zip(sides, bounds, bounds[1:], offsets)
-        ]).tolist()
+        ]))
         for pos in range(len(names))
     ]
-    return ids, list(zip(*columns))
+    return ids, columns
+
+
+def served(arr: np.ndarray) -> np.ndarray:
+    """``column_to_array(arr.tolist())``, without the round trip where
+    the dtype says it changes nothing.
+
+    For an array computed from, or gathered out of, value-faithful
+    columns: an int64, float64 or bool array is its own conversion; a
+    ``U`` / ``S`` gather keeps its source's width, so it is re-narrowed
+    to its longest value (numpy sizes a conversion by that, and never
+    below 1); a uint64 array may have lost its one value ≥ 2⁶³, and an
+    object array its one odd value, so both — and any other dtype —
+    are converted.
+    """
+    kind = arr.dtype.kind
+    if arr.dtype in (np.int64, np.float64, np.bool_):
+        return arr
+    if kind in "US" and len(arr):
+        width = max(int(np.char.str_len(arr).max()), 1)
+        return arr.astype(f"{kind}{width}", copy=False)
+    return column_to_array(arr.tolist())
 
 
 def grouped_starts(gid: np.ndarray, counts: np.ndarray):

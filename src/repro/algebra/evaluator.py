@@ -93,6 +93,7 @@ from repro.algebra.columnar import (
     patch_column,
     rows_at,
     scatter_column,
+    served,
 )
 from repro.algebra.expressions import (
     Aggregate,
@@ -1096,6 +1097,14 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
     reference ``compute`` over stably-ordered row values, so a single
     exotic column never forces the whole γ back to the row loop.  The
     child's rows are only materialized if such a per-spec fallback runs.
+
+    The output is a batch of the computed columns, not row tuples: the
+    key columns are ``key_groups``' own, an array result is handed on
+    through :func:`~repro.algebra.columnar.served`, and a per-spec
+    fallback's list is converted by
+    :func:`~repro.algebra.columnar.column_to_array` when first read —
+    each column equal to converting the row path's output column.
+    Rows are built only if something reads them.
     """
     n = len(child)
     if n == 0 or (not expr.group_by and not expr.aggs):
@@ -1103,11 +1112,11 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
     try:
         cols = child.columnar()
         if expr.group_by:
-            gid, group_keys = key_groups([cols], expr.group_by)
+            gid, key_columns = key_groups([cols], expr.group_by)
+            ngroups = len(key_columns[0])
         else:
             gid = np.zeros(n, dtype=np.intp)
-            group_keys = [()]
-        ngroups = len(group_keys)
+            key_columns, ngroups = [], 1
         counts = np.bincount(gid, minlength=ngroups)
         order = starts = split = None
         winners: dict = {}
@@ -1128,7 +1137,7 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
                 if order is None:
                     order, starts = grouped_starts(gid, counts)
                 sorted_vals = values[order] if values is not None else None
-                agg_cols.append(fn.grouped(sorted_vals, starts, counts).tolist())
+                agg_cols.append(served(fn.grouped(sorted_vals, starts, counts)))
                 continue
             # Per-spec fallback: reference compute over each group's
             # values, in row order (stable sort preserves it).
@@ -1148,11 +1157,15 @@ def _aggregate_columnar(expr: Aggregate, child: Relation, out_schema):
             agg_cols.append(out)
     except Exception:
         return None
-    out_rows = [
-        gkey + tuple(col[g] for col in agg_cols)
-        for g, gkey in enumerate(group_keys)
-    ]
-    return Relation(out_schema, out_rows)
+    providers = {}
+    for name, col in zip(out_schema.columns, key_columns + agg_cols):
+        if isinstance(col, list):
+            providers[name] = lambda col=col: column_to_array(col)
+        else:
+            providers[name] = lambda col=col: col
+    return Relation.from_columnar(
+        ColumnarRelation.from_providers(out_schema, providers, ngroups)
+    )
 
 
 def _try_pick_columnar(term, cols, order, starts, winners: dict):
@@ -1162,7 +1175,10 @@ def _try_pick_columnar(term, cols, order, starts, winners: dict):
     ``tup(priority, column)`` per value column, all with the same
     priority term: the winning row per group is found once (``winners``,
     keyed by the priority term, lives for one γ) and every spec is one
-    gather of its payload column.  Anything else — a payload that is not
+    gather of its payload column, :func:`~repro.algebra.columnar.served`
+    — or, where some groups hold deletions only, an object array of its
+    Python values with None at those groups, which is what converting a
+    column holding a None gives.  Anything else — a payload that is not
     a plain column, a priority that is not integer-valued — keeps the
     per-group ``compute`` fallback.
     """
@@ -1180,9 +1196,11 @@ def _try_pick_columnar(term, cols, order, starts, winners: dict):
     if won is None:
         return None
     rows, deleted = won
-    out = cols.array(payload.name)[rows].tolist()
-    for g in deleted:
-        out[g] = None
+    out = cols.array(payload.name)[rows]
+    if not len(deleted):
+        return served(out)
+    out = as_object_array(out)
+    out[deleted] = None
     return out
 
 
@@ -1204,7 +1222,7 @@ def _pick_winners(priority, cols, order, starts):
         sorted_prio == np.repeat(best, sizes), np.arange(n), n
     )
     rows = order[np.minimum.reduceat(position, starts)]
-    return rows, np.flatnonzero(best < 0).tolist()
+    return rows, np.flatnonzero(best < 0)
 
 
 def _vector_values(term, cols, func_name):
@@ -1236,8 +1254,11 @@ def _vector_values(term, cols, func_name):
                 return None
         return arr
     if arr.dtype.kind == "f":
-        if func_name in ("min", "max") and np.isnan(arr).any():
-            # Python min/max over NaNs is order-dependent; defer.
+        if func_name in ("min", "max") and (
+            np.isnan(arr).any() or bool((np.signbit(arr) & (arr == 0)).any())
+        ):
+            # Python min/max over NaNs or ±0.0 ties is order-dependent
+            # (it keeps the first of equals); defer.
             return None
         return arr
     return None

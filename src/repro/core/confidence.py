@@ -208,9 +208,9 @@ def _shared_group_ids(rels: Sequence[Relation], group_by: Sequence[str]):
     """
     for rel in rels:
         rel.schema.indexes(group_by)
-    ids, groups = key_groups([rel.columnar() for rel in rels], group_by)
+    ids, columns = key_groups([rel.columnar() for rel in rels], group_by)
     bounds = np.cumsum([len(rel) for rel in rels])[:-1]
-    return np.split(ids, bounds), groups
+    return np.split(ids, bounds), list(zip(*[c.tolist() for c in columns]))
 
 
 def _row_group_ids(rels: Sequence[Relation], group_by: Sequence[str]):

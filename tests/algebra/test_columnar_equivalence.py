@@ -30,6 +30,8 @@ from repro.algebra import (
     func,
     set_columnar_enabled,
 )
+from repro.algebra.columnar import column_to_array
+from repro.algebra.predicates import Tup
 
 
 def both_engines(expr, leaves):
@@ -582,3 +584,147 @@ def test_distinct_equivalence():
     fast, slow = both_engines(expr, {"R": rel})
     assert_same_rows(fast, slow)
     assert fast.rows == slow.rows  # first-appearance order preserved
+
+
+@pytest.mark.parametrize(
+    "values", [[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0, 0.0, 2.0]])
+def test_float_min_max_keep_the_row_paths_signed_zero(values):
+    """Python's min/max keep the first of equal values, so ``0.0`` and
+    ``-0.0`` in one group give the one that comes first; numpy's
+    reductions may give the other."""
+    rel = Relation(Schema(["g", "x"]), [(1, v) for v in values], name="R")
+    expr = Aggregate(
+        BaseRel("R"), ("g",),
+        (AggSpec("lo", "min", "x"), AggSpec("hi", "max", "x")),
+    )
+    fast, slow = both_engines(expr, {"R": rel})
+
+    def signs(rows):
+        return [tuple(math.copysign(1, v) for v in r[1:]) for r in rows]
+
+    assert signs(fast.rows) == signs(slow.rows)
+
+
+# ----------------------------------------------------------------------
+# γ's output form: a batch of its computed columns, each equal to
+# converting the row engine's output column
+# ----------------------------------------------------------------------
+NAN = float("nan")
+#: The priority of an SPJ change table's ``pick``: term + 1, signed by
+#: the row's multiplicity (negative for deletions).
+PRIORITY = (col("t") + 1) * col("m")
+
+#: name → (columns, rows, child filter or None, group_by, aggs).
+GAMMA_FORM_CASES = {
+    "bool_int_float": (
+        ["g", "b", "i", "x"],
+        [(1, True, 3, 0.5), (2, False, -4, 1.25), (1, True, 7, -2.0),
+         (3, False, 0, 0.0)],
+        None, ("g",),
+        [AggSpec("n", "count"), AggSpec("sb", "sum", "b"),
+         AggSpec("lob", "min", "b"), AggSpec("si", "sum", "i"),
+         AggSpec("loi", "min", "i"), AggSpec("ai", "avg", "i"),
+         AggSpec("sx", "sum", "x"), AggSpec("hix", "max", "x")],
+    ),
+    "uint64_values": (
+        ["g", "u"],
+        [(1, 2 ** 63 + 5), (2, 3), (1, 4), (2, 9)],
+        None, ("g",),
+        [AggSpec("lo", "min", "u"), AggSpec("hi", "max", "u"),
+         AggSpec("s", "sum", "u")],
+    ),
+    "sums_beyond_2_63": (
+        ["g", "i"],
+        [(1, 2 ** 62), (1, 2 ** 62), (2, 5), (1, 2 ** 62)],
+        None, ("g",),
+        [AggSpec("s", "sum", "i"), AggSpec("a", "avg", "i")],
+    ),
+    "none_key": (
+        ["g", "x"],
+        [(None, 1.5), (1, 2.5), (None, 0.5), (2, 1.0)],
+        None, ("g",), [AggSpec("s", "sum", "x")],
+    ),
+    "nan_key": (
+        ["g", "x"],
+        [(NAN, 1.5), (1.0, 2.5), (NAN, 0.5), (2.0, 1.0)],
+        None, ("g",), [AggSpec("s", "sum", "x"), AggSpec("n", "count")],
+    ),
+    "signed_zero_key": (
+        ["g", "x"],
+        [(-0.0, 1), (0.0, 2), (1.5, 3), (0.0, 4)],
+        None, ("g",), [AggSpec("s", "sum", "x")],
+    ),
+    "nul_string_key": (
+        ["g", "x"],
+        [("a", 1), ("a\x00", 2), ("a", 3), ("b\x00\x00", 4)],
+        None, ("g",), [AggSpec("s", "sum", "x")],
+    ),
+    "str_key_longest_filtered_out": (
+        ["g", "x"],
+        [("ab", 1), ("abcdefgh", 2), ("a", 3), ("ab", 4)],
+        col("x") != 2, ("g",), [AggSpec("s", "sum", "x")],
+    ),
+    "bytes_key": (
+        ["g", "x"],
+        [(b"ab", 1), (b"", 2), (b"ab", 3)],
+        None, ("g",), [AggSpec("s", "sum", "x")],
+    ),
+    "global": (
+        ["g", "x"],
+        [(1, 0.5), (2, 1.5), (3, -0.25)],
+        None, (),
+        [AggSpec("n", "count"), AggSpec("s", "sum", "x"),
+         AggSpec("lo", "min", "g")],
+    ),
+    "pick_no_deleted_group": (
+        ["k", "t", "m", "x", "s"],
+        [(1, 0, 1, 1.5, "a"), (1, 1, 1, 2.5, "bb"), (2, 0, -1, 9.0, "ccc"),
+         (2, 0, 1, 3.5, "d")],
+        None, ("k",),
+        [AggSpec("x", "pick", Tup(PRIORITY, col("x"))),
+         AggSpec("s", "pick", Tup(PRIORITY, col("s"))),
+         AggSpec("n", "sum", "m")],
+    ),
+    "pick_deleted_group": (
+        ["k", "t", "m", "x", "s"],
+        [(1, 0, 1, 1.5, "a"), (2, 0, -1, 9.0, "ccc"), (2, 1, -1, 8.0, "e"),
+         (3, 1, 1, 4.5, "ff")],
+        None, ("k",),
+        [AggSpec("x", "pick", Tup(PRIORITY, col("x"))),
+         AggSpec("s", "pick", Tup(PRIORITY, col("s"))),
+         AggSpec("n", "sum", "m")],
+    ),
+    "fallback_specs": (
+        ["g", "m", "x"],
+        [(1, 1, 2.5), (1, -1, 0.5), (2, 1, 4.0), (1, 1, 1.5), (2, -1, 7.0)],
+        None, ("g",),
+        [AggSpec("dmin", "delta_min", Tup(col("m"), col("x"))),
+         AggSpec("dmax", "delta_max", Tup(col("m"), col("x"))),
+         AggSpec("med", "median", "x")],
+    ),
+}
+
+
+def typed(values):
+    """Values as ``(type, repr)`` pairs: NaN equals NaN, ``1`` is not
+    ``1.0`` or ``True``, and ``-0.0`` is not ``0.0``."""
+    return [(type(v), repr(v)) for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_FORM_CASES))
+def test_aggregate_output_form(name):
+    """The columnar γ hands on a batch, not row tuples: every column it
+    serves is ``column_to_array`` of the row engine's output column,
+    dtype included, and its rows — built only when read — are the row
+    engine's, cell type for cell type."""
+    columns, rows, keep, group_by, aggs = GAMMA_FORM_CASES[name]
+    rel = Relation(Schema(columns), rows, name="R")
+    child = BaseRel("R") if keep is None else Select(BaseRel("R"), keep)
+    fast, slow = both_engines(Aggregate(child, group_by, aggs), {"R": rel})
+    assert not fast.is_materialized and not fast.columnar().row_backed
+    for pos, column in enumerate(slow.schema.columns):
+        got = fast.columnar().array(column)
+        want = column_to_array([r[pos] for r in slow.rows])
+        assert got.dtype == want.dtype, (column, got.dtype, want.dtype)
+        assert typed(got.tolist()) == typed(want.tolist()), column
+    assert [typed(r) for r in fast.rows] == [typed(r) for r in slow.rows]

@@ -4,8 +4,9 @@ path's dict numbering, over one table of hostile keys.
 Every consumer of the coder is checked on every entry of the table:
 
 * the coder itself — ids equal the dict numbering of all sides' key
-  tuples, the group keys are the tuples the dict kept (``repr``-equal,
-  so ``True`` is not ``1`` and ``-0.0`` is not ``0.0``), codes sort like
+  tuples, the group key columns hold the tuples the dict kept
+  (``repr``-equal, so ``True`` is not ``1`` and ``-0.0`` is not
+  ``0.0``) in the dtype their conversion has, codes sort like
   comparable key tuples, and it refuses exactly the object, NaN,
   ≥ 2⁵³ int/float and cross-kind entries;
 * γ, the hash join (all four ``how``) and the change-table merge —
@@ -132,8 +133,13 @@ def test_coder_numbers_keys_as_a_dict_does(name):
     assert (packed is None) == refused
     want_ids, want_keys = dict_numbering(sides)
     batches = [keyed(side, key_names(sides)).columnar() for side in sides]
-    ids, keys = key_groups(batches, key_names(sides))
+    ids, columns = key_groups(batches, key_names(sides))
     assert ids.tolist() == want_ids
+    for i, col in enumerate(columns):
+        # Each key column is the conversion of the dict's keys' values.
+        want = column_to_array([k[i] for k in want_keys])
+        assert col.dtype == want.dtype, (i, col.dtype, want.dtype)
+    keys = list(zip(*[col.tolist() for col in columns]))
     assert [tuple(map(repr, k)) for k in keys] == [
         tuple(map(repr, k)) for k in want_keys]
     if refused:

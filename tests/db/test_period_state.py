@@ -28,7 +28,7 @@ from repro.algebra import (
     evaluate,
     set_columnar_enabled,
 )
-from repro.algebra import columnar
+from repro.algebra import columnar, evaluator
 from repro.algebra.columnar import column_to_array, patch_column
 from repro.algebra.evaluator import clear_hash_memo, eta_draws
 from repro.algebra.relation import PER_ROW, KeyIndex
@@ -811,3 +811,77 @@ def test_steady_state_fresh_versions_convert_only_delta_numeric_columns(
     # Delta rows and the change table's rows only; |R| = 4 000 rows.
     assert numeric and max(numeric) <= 4 * changed < n // 10
     assert sorted(join.require_data().rows) == sorted(join.fresh_data().rows)
+
+
+def test_steady_state_aggregate_outputs_are_not_reconverted(monkeypatch):
+    """A γ output hands its computed columns on.  In a steady-state
+    period of a join view (its change table's ``pick`` γ feeds Merge)
+    and of a γ-over-γ recompute view (the outer γ groups the inner γ's
+    output), no ``column_to_array`` call converts a column of a γ
+    output, and no γ output builds row tuples."""
+    db, _, join = fresh_version_views(3000)
+    nested = Catalog(db).create_view("GG", Aggregate(
+        Aggregate(BaseRel(NAME), ["g", "b"],
+                  [AggSpec("s", "sum", "x"), AggSpec("n", "count")]),
+        ["b"], [AggSpec("t", "sum", "s"), AggSpec("v", "var", "s"),
+                AggSpec("m", "max", "n")]))
+    assert classify_view(nested.definition) == RECOMPUTE
+
+    def period(p):
+        db.insert(NAME, [(3000 + 20 * p + j, j, 0.5 * j, True, "new")
+                         for j in range(20)])
+        db.update(NAME, [(10 * p + j, j, -1.0 * j, False, "upd")
+                         for j in range(10)])
+        db.update("S", [(p, -1.0 - p)])
+        maintain(nested)
+        maintain(join)
+        db.apply_deltas()
+
+    for p in range(2):                          # untimed warm-up rounds
+        period(p)
+    outputs = []
+    real_aggregate = evaluator._aggregate_columnar
+
+    def aggregate(expr, child, out_schema):
+        out = real_aggregate(expr, child, out_schema)
+        if out is not None:
+            outputs.append(out)
+            out.columnar()
+        return out
+
+    def of_output(batch):
+        return any(batch is out._columnar or (
+            batch._rows is not None and batch._rows is out._rows)
+            for out in outputs)
+
+    reading = []                                # batches inside array()
+    real_array = columnar.ColumnarRelation.array
+
+    def array(self, name):
+        reading.append(self)
+        try:
+            return real_array(self, name)
+        finally:
+            reading.pop()
+
+    converted = []
+    real_convert = columnar.column_to_array
+
+    def convert(values):
+        if reading and of_output(reading[-1]):
+            converted.append(len(values))
+        return real_convert(values)
+
+    monkeypatch.setattr(evaluator, "_aggregate_columnar", aggregate)
+    monkeypatch.setattr(columnar.ColumnarRelation, "array", array)
+    monkeypatch.setattr(columnar, "column_to_array", convert)
+    monkeypatch.setattr(evaluator, "column_to_array", convert)
+    period(2)
+    monkeypatch.undo()
+    # The change table's γ, and both of the nested view's.
+    assert len(outputs) >= 3
+    assert converted == []
+    assert not any(out.is_materialized for out in outputs)
+    for view in (join, nested):
+        got, want = view.require_data(), view.fresh_data()
+        assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
