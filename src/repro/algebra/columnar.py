@@ -41,7 +41,10 @@ execution backend:
   relation's built columns survive a maintenance period: the successor
   batch is patched from its predecessor's arrays (surviving positions +
   the inserted rows' values → fresh arrays), and a column is dropped,
-  never coerced, whenever the patch could change its dtype.
+  never coerced, whenever the patch could change its dtype.  A carried
+  string column waits in a compact form — one-byte codes into its
+  distinct values, or one byte per ASCII character — until something
+  reads it.
 * :func:`scatter_column` / :func:`concat_columns` /
   :func:`object_array` — value-faithful column surgery: overwrite rows
   of a column at index positions, stitch two column fragments together,
@@ -223,6 +226,98 @@ def patch_column(base: np.ndarray, keep, tail) -> Optional[np.ndarray]:
     return None
 
 
+#: Most distinct values a carried string column is coded against.
+_CODED_VALUES = 256
+
+
+def _ascii_form(arr: np.ndarray) -> Optional[np.ndarray]:
+    """The ``S`` form of the ``U`` array ``arr`` — one byte per character
+    instead of four — or None if a character is not ASCII.  Its
+    ``astype("U")`` (or :func:`_from_ascii`, without numpy's slow
+    per-element decode) restores ``arr`` exactly: dtype, width and
+    values, inner NULs included."""
+    width = arr.dtype.itemsize // 4
+    if not width or not arr.dtype.isnative:
+        return None
+    codes = np.ascontiguousarray(arr).view(np.uint32)
+    if codes.size and int(codes.max()) > 127:
+        return None
+    return codes.astype(np.uint8).view(f"S{width}")
+
+
+def _from_ascii(arr: np.ndarray) -> np.ndarray:
+    """The ``U`` array an :func:`_ascii_form` array stands for: each
+    byte widened to its code point."""
+    return np.ascontiguousarray(arr).view(np.uint8).astype(np.uint32).view(
+        f"U{arr.dtype.itemsize}")
+
+
+class _Ascii:
+    """A carried ``U`` column held in its :func:`_ascii_form`."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    def decode(self) -> np.ndarray:
+        return _from_ascii(self.data)
+
+    def patched(self, keep, tail) -> Optional["_Ascii"]:
+        if tail is not None:
+            tail = _ascii_form(tail) if tail.dtype.kind == "U" else None
+            if tail is None:
+                return None
+        out = patch_column(self.data, keep, tail)
+        return _Ascii(out) if out is not None and len(out) else None
+
+
+class _Coded:
+    """A carried ``U`` column held as one-byte codes into its distinct
+    ``values`` (which keep a value whose rows are all gone)."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: np.ndarray, values: np.ndarray):
+        self.codes, self.values = codes, values
+
+    def decode(self) -> np.ndarray:
+        return served(self.values[self.codes])
+
+    def patched(self, keep, tail) -> Optional["_Coded"]:
+        codes = self.codes if keep is None else self.codes[keep]
+        values = self.values
+        if tail is not None:
+            if tail.dtype.kind != "U":
+                return None
+            lookup = dict(zip(values.tolist(), range(len(values))))
+            added = [lookup.setdefault(v, len(lookup)) for v in tail.tolist()]
+            if len(lookup) > _CODED_VALUES:
+                return None
+            if len(lookup) > len(values):
+                values = np.concatenate(
+                    [values, np.array(list(lookup)[len(values):])])
+            codes = np.concatenate([codes, np.array(added, dtype=np.uint8)])
+        return _Coded(codes, values) if len(codes) else None
+
+
+def _packed(arr: np.ndarray):
+    """A ``U`` column's compact form to carry — :class:`_Coded` if its
+    first rows hold at most :data:`_CODED_VALUES` distinct values and
+    every other row one of them, else :class:`_Ascii` — or None: carry
+    ``arr`` itself.  Coding looks values up in the sorted sample, so the
+    column itself is never sorted or copied."""
+    if arr.dtype.kind != "U" or not len(arr):
+        return None
+    values = np.unique(arr[:4 * _CODED_VALUES])
+    if len(values) <= _CODED_VALUES:
+        codes = np.searchsorted(values, arr)
+        if bool((np.searchsorted(values, arr, side="right") > codes).all()):
+            return _Coded(codes.astype(np.uint8), values)
+    data = _ascii_form(arr)
+    return None if data is None else _Ascii(data)
+
+
 class ColumnarRelation:
     """A cached, lazily-populated column batch.
 
@@ -246,14 +341,16 @@ class ColumnarRelation:
     """
 
     __slots__ = (
-        "schema", "_rows", "_pycols", "_arrays", "_providers", "_nrows",
-        "_owner",
+        "schema", "_rows", "_pycols", "_arrays", "_providers", "_packed",
+        "_nrows", "_owner",
     )
 
     def __init__(self, relation=None):
         self._pycols: dict = {}
         self._arrays: dict = {}
         self._providers = None
+        #: Carried string columns in compact form (:meth:`patched`).
+        self._packed: dict = {}
         self._owner = None
         if relation is not None:
             self.schema = relation.schema
@@ -419,10 +516,14 @@ class ColumnarRelation:
                     self._providers = None
                 if arr is not None:
                     return arr
-        # No pending provider: cached concurrently, row-backed, or a
-        # genuinely unknown column.
+        # No pending provider: cached concurrently, carried compactly,
+        # row-backed, or a genuinely unknown column.
         arr = self._arrays.get(name)
         if arr is not None:
+            return arr
+        packed = self._packed.get(name)
+        if packed is not None:
+            arr = self._arrays[name] = packed.decode()
             return arr
         if self._rows is None:
             raise KeyError(f"batch has no column {name!r}")
@@ -433,6 +534,16 @@ class ColumnarRelation:
         arr = column_to_array(col)
         self._arrays[name] = arr
         return arr
+
+    def holds(self, name: str) -> bool:
+        """Whether column ``name`` is held rather than converted from
+        row tuples when read: built, carried from a predecessor
+        (:meth:`patched`) or provided (a batch that is not row-backed
+        provides every column; a row-backed batch's provider may still
+        decline, see :meth:`array`)."""
+        providers = self._providers
+        return name in self._arrays or name in self._packed or (
+            providers is not None and name in providers)
 
     def arrays(self, names: Sequence[str]) -> list:
         """Arrays for several columns, in the given order."""
@@ -470,16 +581,31 @@ class ColumnarRelation:
         providers: a column nobody asks for during its period is not
         handed on again, so what is carried is the working set of the
         maintenance plans, not every column ever converted.  Columns
-        never built (or dropped by the dtype rule) stay lazy.
+        never built (or dropped by the dtype rule) stay lazy.  A ``U``
+        column is carried in a compact form — one-byte codes into its
+        distinct values, or its ASCII bytes — patched as it is held and
+        decoded when first read (to exactly the array converting the
+        column gives), so no decoded copy outlives the period it was
+        read in.  A column no compact form takes is carried as it is.
         """
-        providers = {}
+        providers, packed = {}, {}
         for name, base in list(self._arrays.items()):
-            arr = patch_column(
-                base, keep, tail.array(name) if tail.nrows else None
-            )
-            if arr is not None:
-                providers[name] = lambda arr=arr: arr
-        return ColumnarRelation.from_rows(self.schema, rows, providers)
+            new = tail.array(name) if tail.nrows else None
+            held = self._packed.get(name)
+            if held is not None:
+                held = held.patched(keep, new)
+            if held is None:
+                arr = patch_column(base, keep, new)
+                if arr is None:
+                    continue
+                held = _packed(arr)
+                if held is None:
+                    providers[name] = lambda arr=arr: arr
+                    continue
+            packed[name] = held
+        out = ColumnarRelation.from_rows(self.schema, rows, providers)
+        out._packed = packed
+        return out
 
     def materialize_rows(self) -> list:
         """The batch as a list of row tuples (the evaluator-boundary

@@ -180,12 +180,24 @@ register_cache(
 )
 
 
-def hash_draw(values: tuple, seed: int) -> float:
-    """Memoized uniform draw in [0,1) for a key tuple under ``seed``."""
+#: Key value types whose equal values are one value: ``1 == 1.0 ==
+#: True`` and ``0.0 == -0.0`` are one dict key but hash apart, so a
+#: memo keyed on them would hand one key the draw of another.
+_MEMO_TYPES = frozenset((int, str, bytes, type(None)))
+#: Array kinds whose values are all of :data:`_MEMO_TYPES`.
+_MEMO_KINDS = "iuUS"
+
+
+def _memo_family():
+    """The active hash family, the memo dropped if it changed."""
     fam = get_hash_family()
     if fam is not _HASH_MEMO_FAMILY[0]:
         _HASH_MEMO.clear()
         _HASH_MEMO_FAMILY[0] = fam
+    return fam
+
+
+def _memo_draw(fam, values: tuple, seed: int) -> float:
     key = (values, seed)
     got = _HASH_MEMO.get(key)
     if got is None:
@@ -196,25 +208,56 @@ def hash_draw(values: tuple, seed: int) -> float:
     return got
 
 
-def _draws(columns, seed: int) -> np.ndarray:
+def hash_draw(values: tuple, seed: int) -> float:
+    """Uniform draw in [0,1) for a key tuple under ``seed``; memoized
+    when every value is an int, str, bytes or None (and the seed an
+    int), so a draw never depends on which equal key came first."""
+    fam = _memo_family()
+    if type(seed) is int and all(type(v) in _MEMO_TYPES for v in values):
+        return _memo_draw(fam, values, seed)
+    return fam(values, seed)
+
+
+def _draws(columns, seed: int, memo: bool) -> np.ndarray:
     """One uniform draw per row of the key ``columns``.
 
     The linear family hashes all rows in one numpy pass; cryptographic
     families (where per-row hashing dwarfs dict overhead) go through the
-    memoized :func:`hash_draw`.
+    memo where ``memo`` says every key value is of :data:`_MEMO_TYPES`
+    (:func:`_memoizable`).
     """
-    if get_hash_family() is linear_unit:
+    fam = _memo_family()
+    if fam is linear_unit:
         return unit_hash_batch(columns, seed)
-    return np.fromiter(
-        (hash_draw(key, seed) for key in zip(*columns)),
-        dtype=np.float64,
-        count=len(columns[0]),
-    )
+    keys = zip(*columns)
+    if memo and type(seed) is int:
+        draws = (_memo_draw(fam, key, seed) for key in keys)
+    else:
+        draws = (fam(key, seed) for key in keys)
+    return np.fromiter(draws, dtype=np.float64, count=len(columns[0]))
+
+
+def _memoizable(columns) -> bool:
+    """Whether every value of ``columns`` is of :data:`_MEMO_TYPES`:
+    read off an array's dtype, scanned (one C-level pass) in a list."""
+    return all(
+        col.dtype.kind in _MEMO_KINDS if isinstance(col, np.ndarray)
+        else set(map(type, col)) <= _MEMO_TYPES
+        for col in columns)
+
+
+def _batch_draws(batch: ColumnarRelation, attrs, seed: int) -> np.ndarray:
+    """:func:`_draws` over ``batch``'s ``attrs`` columns, memoized as
+    the dtypes of the columns the batch holds say."""
+    memo = _memoizable([
+        batch.array(a) if batch.holds(a) else batch.pycolumn(a)
+        for a in attrs])
+    return _draws([batch.pycolumn(a) for a in attrs], seed, memo)
 
 
 def eta_mask(columns, ratio: float, seed: int):
     """Per-row sampling decisions for η over key ``columns``."""
-    return _draws(columns, seed) < ratio
+    return _draws(columns, seed, _memoizable(columns)) < ratio
 
 
 def eta_draws(rel: Relation, attrs, seed: int) -> np.ndarray:
@@ -231,8 +274,7 @@ def eta_draws(rel: Relation, attrs, seed: int) -> np.ndarray:
     key = (PER_ROW, "draws", attrs, seed, get_hash_family())
     draws = cache.get(key)
     if draws is None:
-        cols = rel.columnar()
-        draws = cache[key] = _draws([cols.pycolumn(a) for a in attrs], seed)
+        draws = cache[key] = _batch_draws(rel.columnar(), attrs, seed)
     return draws
 
 
@@ -381,7 +423,7 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
             # An intermediate result is hashed in one batched pass; the
             # sampled output is a gather over the child batch.
             cols = child.columnar()
-            mask = eta_mask([cols.pycolumn(a) for a in expr.attrs], ratio, seed)
+            mask = _batch_draws(cols, expr.attrs, seed) < ratio
             batch = cols.take(np.flatnonzero(mask))
             return Relation.from_columnar(batch, key=child.key)
         cache = cache_key = None
@@ -604,6 +646,8 @@ def _try_rows_at(rel, positions):
     object, and the array no longer says which object that was — so a
     NaN in a typed float column falls back.
     """
+    if not len(positions):
+        return []
     batch = rel.columnar()
     if rel.is_materialized or batch.row_backed:
         return rows_at(rel.rows, positions)
@@ -621,7 +665,7 @@ def _try_rows_at(rel, positions):
 _NUMERIC = (bool, int, float)
 
 
-def _row_backed(schema, rows: list, key, column) -> Relation:
+def _row_backed(schema, rows: list, key, column, holds) -> Relation:
     """A relation over ``rows`` (the tuples of row-backed inputs) whose
     batch takes some columns from the inputs' arrays.
 
@@ -629,13 +673,15 @@ def _row_backed(schema, rows: list, key, column) -> Relation:
     :func:`~repro.algebra.columnar.patch_column` cannot say it equals
     converting the column from ``rows``, which then happens instead.
     Taken are the ``key`` columns (the candidate search built their
-    arrays) and every column whose first value is a bool, int or float.
-    An input array is built once on the input: for a base relation it
-    is carried into the next period (:meth:`ColumnarRelation.patched`),
-    so a fresh version ``(R − ∇R) ∪ ΔR`` converts only ΔR's numeric
-    columns.  String and object columns are converted from ``rows`` when
-    read: a full-width copy of them on every base relation would cost
-    more memory than their conversion costs time.
+    arrays), every column whose first value is a bool, int or float,
+    and every column whose first value is a str and that the input
+    already ``holds`` (:meth:`ColumnarRelation.holds`).  An input array
+    is built once on the input: for a base relation it is carried into
+    the next period (:meth:`ColumnarRelation.patched`), so a fresh
+    version ``(R − ∇R) ∪ ΔR`` converts only ΔR's columns.  A string
+    column the input does not hold is converted from ``rows`` when
+    read: a small output over an unbuilt base would otherwise convert
+    the base's whole column.
     """
     out = Relation.trusted(schema, rows)
     providers = None
@@ -644,6 +690,7 @@ def _row_backed(schema, rows: list, key, column) -> Relation:
             name: (lambda name=name: column(name))
             for name, value in zip(schema.columns, rows[0])
             if name in key or type(value) in _NUMERIC
+            or (type(value) is str and holds(name))
         }
     out._columnar = ColumnarRelation.from_rows(schema, rows, providers)
     return out
@@ -674,6 +721,7 @@ def _pick_rows(rel, positions, key) -> Relation:
     return _row_backed(
         rel.schema, rows_at(rel.rows, positions), key,
         lambda name: patch_column(batch.array(name), positions, None),
+        batch.holds,
     )
 
 
@@ -681,8 +729,10 @@ def _concat_rows(left, right, kept, key=()) -> Relation:
     """``left``'s rows followed by ``right``'s at ``kept`` (None: all).
 
     Over two row-backed inputs the output concatenates the row lists,
-    and its key and numeric columns concatenate the two sides' arrays
-    (:func:`_row_backed`); otherwise every column is one concatenation
+    and its key and numeric columns, and the string columns ``left``
+    holds, concatenate the two sides' arrays (:func:`_row_backed`: the
+    output holds every left row, and the right input of a fresh version
+    is the small ΔR); otherwise every column is one concatenation
     of the two sides' arrays, built when read.  Empty parts are skipped
     so a column keeps its dtype.
     """
@@ -701,7 +751,8 @@ def _concat_rows(left, right, kept, key=()) -> Relation:
             )
 
         rows = right.rows if kept is None else rows_at(right.rows, kept)
-        return _row_backed(left.schema, left.rows + rows, key, column)
+        return _row_backed(
+            left.schema, left.rows + rows, key, column, lbatch.holds)
 
     def concat(head, tail):
         """One output column: ``head`` then ``tail`` at ``kept``."""

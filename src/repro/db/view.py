@@ -137,16 +137,19 @@ class MaterializedView:
         The incoming relation's storage is kept as-is — columnar-backed
         maintenance results stay columnar (rows materialize lazily on
         first read), and row-backed ones share their already-validated
-        rows list — only the key/name are rebranded to the view's.
+        rows list and their batch, with whatever columns it holds or
+        provides — only the key/name are rebranded to the view's.
         ``maintained_from`` is the :meth:`state` the rows were maintained
         from (``maintain()`` passes it; see :meth:`maintained_from`).
         """
         for k in self.key:
             rel.schema.index(k)
         if rel.is_materialized:
+            batch = rel.columnar()
             rel = Relation.trusted(
                 rel.schema, rel.rows, key=self.key, name=self.name
             )
+            rel._columnar = batch
         else:
             rel = Relation.from_columnar(
                 rel.columnar(), key=self.key, name=self.name

@@ -97,3 +97,40 @@ def test_batch_empty_column():
 def test_batch_requires_columns():
     with pytest.raises(ValueError):
         unit_hash_batch([])
+
+
+@pytest.mark.parametrize("first, other", [
+    ((1,), (1.0,)),
+    ((1,), (True,)),
+    ((1.0,), (1,)),
+    ((0.0,), (-0.0,)),
+    ((-0.0,), (0.0,)),
+    (("a", 1), ("a", 1.0)),
+])
+def test_draw_does_not_depend_on_an_equal_key_drawn_first(first, other):
+    """``1 == 1.0 == True`` and ``0.0 == -0.0`` are one dict key but
+    hash apart: whichever was drawn first, each gets its own draw."""
+    hash_draw(first, 5)
+    assert hash_draw(other, 5) == sha1_unit(other, 5)
+    assert hash_draw(first, 5) == sha1_unit(first, 5)
+
+
+def test_batch_draws_do_not_depend_on_an_equal_key_drawn_first():
+    """The η kernel over a float, bool or int key column gives every row
+    its own family's draw, whatever equal keys were drawn before; the
+    int and str columns still fill the memo."""
+    from repro.algebra import Relation, Schema
+    from repro.algebra.evaluator import eta_draws
+
+    schema = Schema(["k"])
+    for first, other in ([1, 2], [1.0, 2.0]), ([1, 0], [True, False]), (
+            [0.0], [-0.0]), ([1.0, 2.0], [1, 2]):
+        clear_hash_memo()
+        eta_draws(Relation(schema, [(v,) for v in first]), ("k",), 5)
+        rel = Relation(schema, [(v,) for v in other])
+        assert eta_draws(rel, ("k",), 5).tolist() == [
+            sha1_unit((v,), 5) for v in other]
+    clear_hash_memo()
+    eta_draws(Relation(schema, [(i,) for i in range(4)]), ("k",), 5)
+    eta_draws(Relation(schema, [(str(i),) for i in range(4)]), ("k",), 5)
+    assert len(evaluator._HASH_MEMO) == 8

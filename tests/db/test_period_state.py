@@ -21,13 +21,18 @@ from repro.algebra import (
     AggSpec,
     Aggregate,
     BaseRel,
+    Difference,
     Hash,
+    Intersect,
     Join,
     Relation,
     Schema,
+    Select,
+    Union,
     evaluate,
     set_columnar_enabled,
 )
+from repro.algebra.predicates import col
 from repro.algebra import columnar, evaluator
 from repro.algebra.columnar import column_to_array, patch_column
 from repro.algebra.evaluator import clear_hash_memo, eta_draws
@@ -113,11 +118,11 @@ VALUE_KINDS = {
     "int": st.integers(-50, 50),
     "float": st.floats(-100, 100, allow_nan=False).map(lambda x: round(x, 2)),
     "bool": st.booleans(),
-    "str": st.text("abc", max_size=4),
+    "str": st.text("ab\x00é", max_size=4),
     "nullable": st.one_of(st.none(), st.integers(0, 9)),
 }
 #: What an insert may smuggle into a column to change its dtype.
-PROMOTIONS = (1.5, None, "x", 2 ** 63, True, 7)
+PROMOTIONS = (1.5, None, "x", "é", b"x", 2 ** 63, True, 7)
 KEY_KINDS = {
     "int": st.integers(0, 30),
     "big": st.integers(BIG, BIG + 30),
@@ -719,6 +724,15 @@ FRESH_CASES = {
     "empty_tail": ([(1, 5), (2, 6)], [(1, 5)], []),
     "delete_all": ([(1, 5), (2, 6)], [(1, 5), (2, 6)], [(3, 1.5)]),
     "delete_all_no_tail": ([(1, 5)], [(1, 5)], []),
+    "str_non_ascii": ([(1, "a"), (2, "é")], [(1, "a")], [(3, "bc")]),
+    "str_non_ascii_tail": ([(1, "a"), (2, "b")], [], [(3, "é")]),
+    "str_inner_nul": ([(1, "a\x00b"), (2, "c")], [(2, "c")], [(3, "d\x00")]),
+    "str_empty": ([(1, ""), (2, "x")], [(2, "x")], [(3, "")]),
+    "str_longest_deleted": ([(1, "abcdef"), (2, "ab")], [(1, "abcdef")],
+                            [(3, "abc")]),
+    "str_none_tail": ([(1, "a"), (2, "b")], [], [(3, None)]),
+    "str_int_tail": ([(1, "a"), (2, "b")], [(1, "a")], [(3, 7)]),
+    "bytes": ([(1, b"a"), (2, b"bcd")], [(2, b"bcd")], [(3, b"e")]),
 }
 
 
@@ -727,22 +741,39 @@ def with_x(rows):
     return [(k, v, float(len(repr(k)))) for k, v in rows]
 
 
-@pytest.mark.parametrize("warm_base", [False, True])
+def carried(schema, rows) -> Relation:
+    """A base relation over ``rows`` that holds every column the way a
+    period hands them on: patched from a predecessor that had read them
+    all (strings in their compact form, none decoded yet)."""
+    first = Relation(schema, rows, key=("k",), name=NAME)
+    for col in schema.columns:
+        first.columnar().array(col)
+    return first.patched((), Relation(schema, [], key=("k",)))
+
+
+@pytest.mark.parametrize("warm_base", [False, True, "coded", "ascii"])
 @pytest.mark.parametrize("name", sorted(FRESH_CASES))
-def test_fresh_version_columns_equal_their_rows_conversion(name, warm_base):
+def test_fresh_version_columns_equal_their_rows_conversion(
+        name, warm_base, monkeypatch):
     """Every column a fresh version serves — taken from the inputs'
     arrays or converted from its rows — is ``column_to_array`` of its
-    rows, in dtype and values, whether or not the base had built its
-    arrays (as a carried base has)."""
+    rows, in dtype and values, whether the base had built its arrays,
+    had not, or holds them as a period carried them on (strings coded
+    against their distinct values, or as ASCII bytes)."""
     base_rows, deleted, inserted = (with_x(r) for r in FRESH_CASES[name])
     schema = Schema(["k", "v", "x"])
-    base = Relation(schema, base_rows, key=("k",), name=NAME)
+    if warm_base == "ascii":
+        monkeypatch.setattr(columnar, "_CODED_VALUES", 0)
+    if warm_base in ("coded", "ascii"):
+        base = carried(schema, base_rows)
+    else:
+        base = Relation(schema, base_rows, key=("k",), name=NAME)
     leaves = {
         NAME: base,
         insertions_name(NAME): Relation(schema, inserted, key=("k",)),
         deletions_name(NAME): Relation(schema, deleted, key=("k",)),
     }
-    if warm_base:
+    if warm_base is True:
         for col in schema.columns:
             base.columnar().array(col)
     frozen = freeze(base)
@@ -777,7 +808,7 @@ def fresh_version_views(n: int):
     return db, recompute, join
 
 
-def test_steady_state_fresh_versions_convert_only_delta_numeric_columns(
+def test_steady_state_fresh_versions_convert_only_delta_columns(
         monkeypatch):
     n = 4000
     db, recompute, join = fresh_version_views(n)
@@ -806,82 +837,158 @@ def test_steady_state_fresh_versions_convert_only_delta_numeric_columns(
         columnar, "column_to_array",
         lambda values: conversions.append(values) or real(values))
     changed = period(2)
-    numeric = [len(v) for v in conversions
-               if v and type(v[0]) in (bool, int, float)]
+    sizes = [len(v) for v in conversions if v]
+    strings = [len(v) for v in conversions if v and type(v[0]) is str]
     # Delta rows and the change table's rows only; |R| = 4 000 rows.
-    assert numeric and max(numeric) <= 4 * changed < n // 10
+    assert strings and max(sizes) <= 4 * changed < n // 10
     assert sorted(join.require_data().rows) == sorted(join.fresh_data().rows)
+    got, want = recompute.require_data(), recompute.fresh_data()
+    assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
 
 
-def test_steady_state_aggregate_outputs_are_not_reconverted(monkeypatch):
-    """A γ output hands its computed columns on.  In a steady-state
-    period of a join view (its change table's ``pick`` γ feeds Merge)
-    and of a γ-over-γ recompute view (the outer γ groups the inner γ's
-    output), no ``column_to_array`` call converts a column of a γ
-    output, and no γ output builds row tuples."""
-    db, _, join = fresh_version_views(3000)
-    nested = Catalog(db).create_view("GG", Aggregate(
-        Aggregate(BaseRel(NAME), ["g", "b"],
-                  [AggSpec("s", "sum", "x"), AggSpec("n", "count")]),
-        ["b"], [AggSpec("t", "sum", "s"), AggSpec("v", "var", "s"),
-                AggSpec("m", "max", "n")]))
-    assert classify_view(nested.definition) == RECOMPUTE
+def test_small_pick_over_an_unbuilt_base_converts_only_its_rows(monkeypatch):
+    """A string column a base has not built is converted from the few
+    rows a − / ∩ picks out of it, not built over all of the base; one
+    the base holds is taken from its array."""
+    n = 2000
+    schema = Schema(["k", "s", "x"])
+    rows = [(i, f"s{i % 7}", float(i)) for i in range(n)]
+    few = rows[:5]
+    for warm_base in (False, True):
+        base = Relation(schema, rows, key=("k",), name=NAME)
+        if warm_base:
+            base.columnar().array("s")
+        leaves = {NAME: base, "F": Relation(schema, few, key=("k",))}
+        conversions = []
+        real = columnar.column_to_array
+        monkeypatch.setattr(
+            columnar, "column_to_array",
+            lambda values: conversions.append(values) or real(values))
+        out = evaluate(Intersect(BaseRel(NAME), BaseRel("F")), leaves)
+        got = out.columnar().array("s")
+        monkeypatch.undo()
+        assert out.rows == few
+        assert same_array(got, column_to_array([r[1] for r in few]))
+        strings = [len(v) for v in conversions if v and type(v[0]) is str]
+        assert strings == ([] if warm_base else [len(few)])
+        assert ("s" in base.columnar()._arrays) == warm_base
+
+
+STRING_COLUMNS = {
+    # name → (value of row i, value an insert of period p brings)
+    "few": (lambda i: f"name{i % 11}", lambda p: "x" * (p + 1)),
+    "many": (lambda i: f"h{i}", lambda p: f"new\x00{p}" if p else ""),
+    "wide": (lambda i: "abcdefgh" if i == 0 else f"w{i}", lambda p: "w"),
+    "non_ascii": (lambda i: f"é{i}", lambda p: f"ü{p}"),
+    "turns_non_ascii": (lambda i: f"t{i}", lambda p: "é" if p == 1 else "t"),
+    "turns_object": (lambda i: f"o{i}", lambda p: None if p == 1 else "o"),
+}
+
+
+def test_union_without_candidate_pairs_builds_no_other_column():
+    """A ∪ of two column batches whose key search finds no candidate
+    pair reads nothing but the key: no other column of either side is
+    built to compare rows that are not there."""
+    schema = Schema(["k", "s", "x"])
+    base = Relation(schema, [(i, f"s{i % 7}", float(i)) for i in range(2000)],
+                    key=("k",), name=NAME)
+    expr = Union(Select(BaseRel(NAME), col("k") < 100),
+                 Select(BaseRel(NAME), col("k") >= 1900))
+    out = evaluate(expr, {NAME: base})
+    assert set(base.columnar()._arrays) == {"k"}
+    assert out.rows == base.rows[:100] + base.rows[1900:]
+
+
+def test_carried_strings_are_held_compactly():
+    """A string column is carried compactly — one-byte codes into at
+    most 256 distinct values, else its ASCII bytes — and decoded only
+    when read, so no decoded copy is handed on; a column with many
+    values and a non-ASCII one is carried as it is.  Every column read
+    is what converting its rows gives, width included (the 8-character
+    value of ``wide`` is deleted in the first period)."""
+    n, cols = 400, ["k"] + sorted(STRING_COLUMNS)
+    db = Database()
+    db.add_relation(Relation(
+        Schema(cols),
+        [(i,) + tuple(STRING_COLUMNS[c][0](i) for c in cols[1:])
+         for i in range(n)],
+        key=("k",), name=NAME))
+    forms = []
+    for p in range(3):
+        rel = db.relation(NAME)
+        for col in cols:
+            rel.columnar().array(col)
+        db.insert(NAME, [(n + p,) + tuple(
+            STRING_COLUMNS[c][1](p) for c in cols[1:])])
+        db.delete_by_key(NAME, [(p,)])
+        db.apply_deltas()
+        batch = db.relation(NAME).columnar()
+        assert not batch._arrays
+        forms.append({name: held_form(batch, name) for name in cols[1:]})
+        for i, col in enumerate(cols):
+            want = column_to_array([r[i] for r in db.relation(NAME).rows])
+            assert same_array(batch.array(col), want), (p, col)
+    same = {"few": "_Coded", "many": "_Ascii", "wide": "_Ascii",
+            "non_ascii": "<U4"}
+    # An "é" turns the bytes back into U; a None makes the column an
+    # object array, which is dropped on deletion and rebuilt when read.
+    assert forms == [
+        dict(same, turns_non_ascii="_Ascii", turns_object="_Ascii"),
+        dict(same, turns_non_ascii="<U4", turns_object="dropped"),
+        dict(same, turns_non_ascii="<U4", turns_object="dropped"),
+    ]
+    coded = db.relation(NAME).columnar()._packed["few"]
+    assert coded.codes.dtype == np.uint8 and coded.codes.nbytes == n
+
+
+def held_form(batch, name) -> str:
+    """How a fresh successor holds column ``name``: its compact form's
+    class, the dtype of an array carried as it is, or "dropped"."""
+    if name in batch._packed:
+        return type(batch._packed[name]).__name__
+    if name in (batch._providers or {}):
+        return str(batch._providers[name]().dtype)
+    return "dropped"
+
+
+def test_set_operator_view_keeps_its_batch(monkeypatch):
+    """A view over a set operator installs its maintained rows with the
+    batch they came with: after a steady-state period its columns are
+    read from the base's carried arrays, not converted from its rows."""
+    n = 3000
+    schema = Schema(["k", "x", "s"])
+    db = Database()
+    db.add_relation(Relation(
+        schema, [(i, float(i), f"s{i % 5}") for i in range(n)],
+        key=("k",), name=NAME))
+    db.add_relation(Relation(
+        schema, [(i, float(i), f"s{i % 5}") for i in range(0, n, 100)],
+        key=("k",), name="S"))
+    view = Catalog(db).create_view(
+        "D", Difference(BaseRel(NAME), BaseRel("S")))
+    # Built on the base, as a view grouping by it builds it: from here
+    # on the base carries its string column too.
+    db.relation(NAME).columnar().array("s")
 
     def period(p):
-        db.insert(NAME, [(3000 + 20 * p + j, j, 0.5 * j, True, "new")
-                         for j in range(20)])
-        db.update(NAME, [(10 * p + j, j, -1.0 * j, False, "upd")
-                         for j in range(10)])
-        db.update("S", [(p, -1.0 - p)])
-        maintain(nested)
-        maintain(join)
+        db.insert(NAME, [(n + 10 * p + j, 0.5 * j, "new") for j in range(10)])
+        db.delete_by_key(NAME, [(10 * p + 1,)])
+        maintain(view)
+        data = view.require_data()
+        arrays = [data.columnar().array(c) for c in data.schema.columns]
         db.apply_deltas()
+        return data, arrays
 
     for p in range(2):                          # untimed warm-up rounds
         period(p)
-    outputs = []
-    real_aggregate = evaluator._aggregate_columnar
-
-    def aggregate(expr, child, out_schema):
-        out = real_aggregate(expr, child, out_schema)
-        if out is not None:
-            outputs.append(out)
-            out.columnar()
-        return out
-
-    def of_output(batch):
-        return any(batch is out._columnar or (
-            batch._rows is not None and batch._rows is out._rows)
-            for out in outputs)
-
-    reading = []                                # batches inside array()
-    real_array = columnar.ColumnarRelation.array
-
-    def array(self, name):
-        reading.append(self)
-        try:
-            return real_array(self, name)
-        finally:
-            reading.pop()
-
-    converted = []
-    real_convert = columnar.column_to_array
-
-    def convert(values):
-        if reading and of_output(reading[-1]):
-            converted.append(len(values))
-        return real_convert(values)
-
-    monkeypatch.setattr(evaluator, "_aggregate_columnar", aggregate)
-    monkeypatch.setattr(columnar.ColumnarRelation, "array", array)
-    monkeypatch.setattr(columnar, "column_to_array", convert)
-    monkeypatch.setattr(evaluator, "column_to_array", convert)
-    period(2)
+    conversions = []
+    real = columnar.column_to_array
+    monkeypatch.setattr(
+        columnar, "column_to_array",
+        lambda values: conversions.append(len(values)) or real(values))
+    data, arrays = period(2)
     monkeypatch.undo()
-    # The change table's γ, and both of the nested view's.
-    assert len(outputs) >= 3
-    assert converted == []
-    assert not any(out.is_materialized for out in outputs)
-    for view in (join, nested):
-        got, want = view.require_data(), view.fresh_data()
-        assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
+    assert max(conversions, default=0) <= 4 * 11 < n // 10
+    for pos, arr in enumerate(arrays):
+        assert same_array(arr, column_to_array([r[pos] for r in data.rows]))
+    assert sorted(data.rows) == sorted(view.fresh_data().rows)
