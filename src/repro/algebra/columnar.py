@@ -263,6 +263,9 @@ class _Ascii:
     def decode(self) -> np.ndarray:
         return _from_ascii(self.data)
 
+    def take(self, positions) -> np.ndarray:
+        return _from_ascii(served(self.data[positions]))
+
     def patched(self, keep, tail) -> Optional["_Ascii"]:
         if tail is not None:
             tail = _ascii_form(tail) if tail.dtype.kind == "U" else None
@@ -284,6 +287,9 @@ class _Coded:
     def decode(self) -> np.ndarray:
         return served(self.values[self.codes])
 
+    def take(self, positions) -> np.ndarray:
+        return served(self.values[self.codes[positions]])
+
     def patched(self, keep, tail) -> Optional["_Coded"]:
         codes = self.codes if keep is None else self.codes[keep]
         values = self.values
@@ -302,12 +308,13 @@ class _Coded:
 
 
 def _packed(arr: np.ndarray):
-    """A ``U`` column's compact form to carry — :class:`_Coded` if its
-    first rows hold at most :data:`_CODED_VALUES` distinct values and
-    every other row one of them, else :class:`_Ascii` — or None: carry
-    ``arr`` itself.  Coding looks values up in the sorted sample, so the
-    column itself is never sorted or copied."""
-    if arr.dtype.kind != "U" or not len(arr):
+    """The non-empty ``U`` column ``arr``'s compact form to carry —
+    :class:`_Coded` if its first rows hold at most :data:`_CODED_VALUES`
+    distinct values and every other row one of them, else
+    :class:`_Ascii` — or None: it has neither.  Coding looks values up
+    in the sorted sample, so the column itself is never sorted or
+    copied."""
+    if not len(arr):
         return None
     values = np.unique(arr[:4 * _CODED_VALUES])
     if len(values) <= _CODED_VALUES:
@@ -342,7 +349,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "schema", "_rows", "_pycols", "_arrays", "_providers", "_packed",
-        "_nrows", "_owner",
+        "_taken", "_nrows", "_owner",
     )
 
     def __init__(self, relation=None):
@@ -351,6 +358,8 @@ class ColumnarRelation:
         self._providers = None
         #: Carried string columns in compact form (:meth:`patched`).
         self._packed: dict = {}
+        #: Packed columns read only through :meth:`array_at`.
+        self._taken: set = set()
         self._owner = None
         if relation is not None:
             self.schema = relation.schema
@@ -535,6 +544,18 @@ class ColumnarRelation:
         self._arrays[name] = arr
         return arr
 
+    def array_at(self, name: str, positions) -> np.ndarray:
+        """``column_to_array`` of column ``name``'s values at
+        ``positions``.  A column carried compactly is gathered before
+        it is decoded, so a pick of a few rows decodes only those."""
+        packed = self._packed.get(name)
+        if packed is None or name in self._arrays:
+            return patch_column(self.array(name), positions, None)
+        self._taken.add(name)
+        if not len(positions):
+            return column_to_array(())
+        return packed.take(positions)
+
     def holds(self, name: str) -> bool:
         """Whether column ``name`` is held rather than converted from
         row tuples when read: built, carried from a predecessor
@@ -584,25 +605,30 @@ class ColumnarRelation:
         never built (or dropped by the dtype rule) stay lazy.  A ``U``
         column is carried in a compact form — one-byte codes into its
         distinct values, or its ASCII bytes — patched as it is held and
-        decoded when first read (to exactly the array converting the
-        column gives), so no decoded copy outlives the period it was
-        read in.  A column no compact form takes is carried as it is.
+        decoded when read (to exactly the array converting the column
+        gives), so no decoded copy outlives the period it was read in.
+        A ``U`` column neither form takes (non-ASCII, with many values)
+        is dropped: carried as it is, it would cost four bytes a
+        character on every base relation.
         """
         providers, packed = {}, {}
-        for name, base in list(self._arrays.items()):
+        for name in self._arrays.keys() | self._taken:
             new = tail.array(name) if tail.nrows else None
             held = self._packed.get(name)
-            if held is not None:
-                held = held.patched(keep, new)
-            if held is None:
-                arr = patch_column(base, keep, new)
+            kept = None if held is None else held.patched(keep, new)
+            if kept is None:
+                base = self._arrays.get(name)
+                arr = patch_column(
+                    held.decode() if base is None else base, keep, new)
                 if arr is None:
                     continue
-                held = _packed(arr)
-                if held is None:
+                if arr.dtype.kind != "U":
                     providers[name] = lambda arr=arr: arr
                     continue
-            packed[name] = held
+                kept = _packed(arr)
+                if kept is None:
+                    continue
+            packed[name] = kept
         out = ColumnarRelation.from_rows(self.schema, rows, providers)
         out._packed = packed
         return out

@@ -184,8 +184,6 @@ register_cache(
 #: True`` and ``0.0 == -0.0`` are one dict key but hash apart, so a
 #: memo keyed on them would hand one key the draw of another.
 _MEMO_TYPES = frozenset((int, str, bytes, type(None)))
-#: Array kinds whose values are all of :data:`_MEMO_TYPES`.
-_MEMO_KINDS = "iuUS"
 
 
 def _memo_family():
@@ -218,46 +216,31 @@ def hash_draw(values: tuple, seed: int) -> float:
     return fam(values, seed)
 
 
-def _draws(columns, seed: int, memo: bool) -> np.ndarray:
+def _draws(columns, seed: int) -> np.ndarray:
     """One uniform draw per row of the key ``columns``.
 
     The linear family hashes all rows in one numpy pass; cryptographic
     families (where per-row hashing dwarfs dict overhead) go through the
-    memo where ``memo`` says every key value is of :data:`_MEMO_TYPES`
-    (:func:`_memoizable`).
+    memo when every key value is of :data:`_MEMO_TYPES`.  That is
+    decided once per column (one C-level type scan), not per key as
+    :func:`hash_draw` does: on a warm memo the per-key check costs
+    about as much as the lookup.
     """
     fam = _memo_family()
     if fam is linear_unit:
         return unit_hash_batch(columns, seed)
     keys = zip(*columns)
-    if memo and type(seed) is int:
+    if type(seed) is int and all(
+            set(map(type, col)) <= _MEMO_TYPES for col in columns):
         draws = (_memo_draw(fam, key, seed) for key in keys)
     else:
         draws = (fam(key, seed) for key in keys)
     return np.fromiter(draws, dtype=np.float64, count=len(columns[0]))
 
 
-def _memoizable(columns) -> bool:
-    """Whether every value of ``columns`` is of :data:`_MEMO_TYPES`:
-    read off an array's dtype, scanned (one C-level pass) in a list."""
-    return all(
-        col.dtype.kind in _MEMO_KINDS if isinstance(col, np.ndarray)
-        else set(map(type, col)) <= _MEMO_TYPES
-        for col in columns)
-
-
-def _batch_draws(batch: ColumnarRelation, attrs, seed: int) -> np.ndarray:
-    """:func:`_draws` over ``batch``'s ``attrs`` columns, memoized as
-    the dtypes of the columns the batch holds say."""
-    memo = _memoizable([
-        batch.array(a) if batch.holds(a) else batch.pycolumn(a)
-        for a in attrs])
-    return _draws([batch.pycolumn(a) for a in attrs], seed, memo)
-
-
 def eta_mask(columns, ratio: float, seed: int):
     """Per-row sampling decisions for η over key ``columns``."""
-    return _draws(columns, seed, _memoizable(columns)) < ratio
+    return _draws(columns, seed) < ratio
 
 
 def eta_draws(rel: Relation, attrs, seed: int) -> np.ndarray:
@@ -274,7 +257,8 @@ def eta_draws(rel: Relation, attrs, seed: int) -> np.ndarray:
     key = (PER_ROW, "draws", attrs, seed, get_hash_family())
     draws = cache.get(key)
     if draws is None:
-        draws = cache[key] = _batch_draws(rel.columnar(), attrs, seed)
+        cols = rel.columnar()
+        draws = cache[key] = _draws([cols.pycolumn(a) for a in attrs], seed)
     return draws
 
 
@@ -423,7 +407,7 @@ def _eval_inner(expr: Expr, leaves: Mapping, memo: dict) -> Relation:
             # An intermediate result is hashed in one batched pass; the
             # sampled output is a gather over the child batch.
             cols = child.columnar()
-            mask = _batch_draws(cols, expr.attrs, seed) < ratio
+            mask = eta_mask([cols.pycolumn(a) for a in expr.attrs], ratio, seed)
             batch = cols.take(np.flatnonzero(mask))
             return Relation.from_columnar(batch, key=child.key)
         cache = cache_key = None
@@ -575,7 +559,7 @@ def _try_setop(expr, left, right, leaves):
     (∪), in the row path's order.
     """
     if not len(right) and not isinstance(expr, Intersect):
-        return _same_rows(left)
+        return same_rows(left)
     if isinstance(expr, Union) and _union_disjoint(expr, left.schema, leaves):
         return _concat_rows(left, right, None)
     try:
@@ -696,13 +680,14 @@ def _row_backed(schema, rows: list, key, column, holds) -> Relation:
     return out
 
 
-def _same_rows(rel: Relation) -> Relation:
-    """A new relation sharing ``rel``'s rows and batch."""
+def same_rows(rel: Relation, key=None, name=None) -> Relation:
+    """A new relation sharing ``rel``'s rows and batch, with ``key`` and
+    ``name`` of its own."""
     if rel.is_materialized:
-        out = Relation.trusted(rel.schema, rel.rows)
+        out = Relation.trusted(rel.schema, rel.rows, key=key, name=name)
         out._columnar = rel.columnar()
         return out
-    return Relation.from_columnar(rel.columnar())
+    return Relation.from_columnar(rel.columnar(), key=key, name=name)
 
 
 def _pick_rows(rel, positions, key) -> Relation:
@@ -720,7 +705,7 @@ def _pick_rows(rel, positions, key) -> Relation:
         return Relation.from_columnar(batch.take(positions))
     return _row_backed(
         rel.schema, rows_at(rel.rows, positions), key,
-        lambda name: patch_column(batch.array(name), positions, None),
+        lambda name: batch.array_at(name, positions),
         batch.holds,
     )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.algebra.evaluator import GROUP_COUNT, evaluate
+from repro.algebra.evaluator import GROUP_COUNT, evaluate, same_rows
 from repro.algebra.expressions import AggSpec, Aggregate, Expr
 from repro.algebra.keys import derive_key
 from repro.algebra.relation import Relation
@@ -144,16 +144,7 @@ class MaterializedView:
         """
         for k in self.key:
             rel.schema.index(k)
-        if rel.is_materialized:
-            batch = rel.columnar()
-            rel = Relation.trusted(
-                rel.schema, rel.rows, key=self.key, name=self.name
-            )
-            rel._columnar = batch
-        else:
-            rel = Relation.from_columnar(
-                rel.columnar(), key=self.key, name=self.name
-            )
+        rel = same_rows(rel, key=self.key, name=self.name)
         self._install(rel, maintained_from)
         return rel
 

@@ -846,32 +846,117 @@ def test_steady_state_fresh_versions_convert_only_delta_columns(
     assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
 
 
+def test_steady_state_aggregate_outputs_are_not_reconverted(monkeypatch):
+    """A γ output hands its computed columns on.  In a steady-state
+    period of a join view (its change table's ``pick`` γ feeds Merge)
+    and of a γ-over-γ recompute view (the outer γ groups the inner γ's
+    output), no ``column_to_array`` call converts a column of a γ
+    output, and no γ output builds row tuples."""
+    db, _, join = fresh_version_views(3000)
+    nested = Catalog(db).create_view("GG", Aggregate(
+        Aggregate(BaseRel(NAME), ["g", "b"],
+                  [AggSpec("s", "sum", "x"), AggSpec("n", "count")]),
+        ["b"], [AggSpec("t", "sum", "s"), AggSpec("v", "var", "s"),
+                AggSpec("m", "max", "n")]))
+    assert classify_view(nested.definition) == RECOMPUTE
+
+    def period(p):
+        db.insert(NAME, [(3000 + 20 * p + j, j, 0.5 * j, True, "new")
+                         for j in range(20)])
+        db.update(NAME, [(10 * p + j, j, -1.0 * j, False, "upd")
+                         for j in range(10)])
+        db.update("S", [(p, -1.0 - p)])
+        maintain(nested)
+        maintain(join)
+        db.apply_deltas()
+
+    for p in range(2):                          # untimed warm-up rounds
+        period(p)
+    outputs = []
+    real_aggregate = evaluator._aggregate_columnar
+
+    def aggregate(expr, child, out_schema):
+        out = real_aggregate(expr, child, out_schema)
+        if out is not None:
+            outputs.append(out)
+            out.columnar()
+        return out
+
+    def of_output(batch):
+        return any(batch is out._columnar or (
+            batch._rows is not None and batch._rows is out._rows)
+            for out in outputs)
+
+    reading = []                                # batches inside array()
+    real_array = columnar.ColumnarRelation.array
+
+    def array(self, name):
+        reading.append(self)
+        try:
+            return real_array(self, name)
+        finally:
+            reading.pop()
+
+    converted = []
+    real_convert = columnar.column_to_array
+
+    def convert(values):
+        if reading and of_output(reading[-1]):
+            converted.append(len(values))
+        return real_convert(values)
+
+    monkeypatch.setattr(evaluator, "_aggregate_columnar", aggregate)
+    monkeypatch.setattr(columnar.ColumnarRelation, "array", array)
+    monkeypatch.setattr(columnar, "column_to_array", convert)
+    monkeypatch.setattr(evaluator, "column_to_array", convert)
+    period(2)
+    monkeypatch.undo()
+    # The change table's γ, and both of the nested view's.
+    assert len(outputs) >= 3
+    assert converted == []
+    assert not any(out.is_materialized for out in outputs)
+    for view in (join, nested):
+        got, want = view.require_data(), view.fresh_data()
+        assert sorted(map(repr, got.rows)) == sorted(map(repr, want.rows))
+
+
 def test_small_pick_over_an_unbuilt_base_converts_only_its_rows(monkeypatch):
     """A string column a base has not built is converted from the few
     rows a − / ∩ picks out of it, not built over all of the base; one
-    the base holds is taken from its array."""
+    the base holds is taken from its array, and one it carries
+    compactly is gathered at the picked rows before it is decoded."""
     n = 2000
     schema = Schema(["k", "s", "x"])
     rows = [(i, f"s{i % 7}", float(i)) for i in range(n)]
     few = rows[:5]
-    for warm_base in (False, True):
-        base = Relation(schema, rows, key=("k",), name=NAME)
-        if warm_base:
+    for base_form in (False, True, "coded", "ascii"):
+        if base_form == "ascii":
+            monkeypatch.setattr(columnar, "_CODED_VALUES", 0)
+        if base_form in ("coded", "ascii"):
+            base = carried(schema, rows)
+            assert "s" in base.columnar()._packed
+        else:
+            base = Relation(schema, rows, key=("k",), name=NAME)
+        if base_form is True:
             base.columnar().array("s")
         leaves = {NAME: base, "F": Relation(schema, few, key=("k",))}
-        conversions = []
-        real = columnar.column_to_array
+        conversions, strings_built = [], []
+        real, real_served = columnar.column_to_array, columnar.served
         monkeypatch.setattr(
             columnar, "column_to_array",
             lambda values: conversions.append(values) or real(values))
+        monkeypatch.setattr(
+            columnar, "served",
+            lambda arr: strings_built.append(len(arr)) or real_served(arr))
         out = evaluate(Intersect(BaseRel(NAME), BaseRel("F")), leaves)
         got = out.columnar().array("s")
         monkeypatch.undo()
         assert out.rows == few
         assert same_array(got, column_to_array([r[1] for r in few]))
         strings = [len(v) for v in conversions if v and type(v[0]) is str]
-        assert strings == ([] if warm_base else [len(few)])
-        assert ("s" in base.columnar()._arrays) == warm_base
+        assert strings == ([len(few)] if base_form is False else [])
+        assert ("s" in base.columnar()._arrays) == (base_form is True)
+        assert max(strings_built, default=0) <= len(few)
 
 
 STRING_COLUMNS = {
@@ -903,7 +988,8 @@ def test_carried_strings_are_held_compactly():
     """A string column is carried compactly — one-byte codes into at
     most 256 distinct values, else its ASCII bytes — and decoded only
     when read, so no decoded copy is handed on; a column with many
-    values and a non-ASCII one is carried as it is.  Every column read
+    values and a non-ASCII one is dropped (converted from its rows
+    when read).  Every column read
     is what converting its rows gives, width included (the 8-character
     value of ``wide`` is deleted in the first period)."""
     n, cols = 400, ["k"] + sorted(STRING_COLUMNS)
@@ -929,13 +1015,13 @@ def test_carried_strings_are_held_compactly():
             want = column_to_array([r[i] for r in db.relation(NAME).rows])
             assert same_array(batch.array(col), want), (p, col)
     same = {"few": "_Coded", "many": "_Ascii", "wide": "_Ascii",
-            "non_ascii": "<U4"}
-    # An "é" turns the bytes back into U; a None makes the column an
-    # object array, which is dropped on deletion and rebuilt when read.
+            "non_ascii": "dropped"}
+    # An "é" leaves the column neither form; a None makes it an object
+    # array, which is dropped on deletion and rebuilt when read.
     assert forms == [
         dict(same, turns_non_ascii="_Ascii", turns_object="_Ascii"),
-        dict(same, turns_non_ascii="<U4", turns_object="dropped"),
-        dict(same, turns_non_ascii="<U4", turns_object="dropped"),
+        dict(same, turns_non_ascii="dropped", turns_object="dropped"),
+        dict(same, turns_non_ascii="dropped", turns_object="dropped"),
     ]
     coded = db.relation(NAME).columnar()._packed["few"]
     assert coded.codes.dtype == np.uint8 and coded.codes.nbytes == n
